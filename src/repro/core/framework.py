@@ -32,24 +32,21 @@ three modes.
 
 from __future__ import annotations
 
-import time
-from typing import Dict, Optional, Union
+import contextlib
+from typing import Optional
 
 import numpy as np
 
 from repro import obs
-from repro.core.api import LPProgram, validate_program
-from repro.core.instrument import observe_iteration, observe_run
-from repro.core.results import IterationStats, LPResult
-from repro.errors import ConvergenceError, DeviceFault
-from repro.graph.csr import CSRGraph
+from repro.core.driver import BSPRun, drive
+from repro.core.results import IterationStats
+from repro.errors import ConvergenceError
 from repro.gpusim import hooks
 from repro.gpusim.config import TITAN_V, DeviceSpec
 from repro.gpusim.device import Device
 from repro.kernels.base import ELEM_BYTES, GLP_DEFAULT, KernelContext, StrategyConfig
 from repro.kernels.frontier import (
     FrontierConfig,
-    coerce_initial_frontier,
     next_frontier,
     prune_pinned,
     resolve_frontier,
@@ -57,29 +54,6 @@ from repro.kernels.frontier import (
 )
 from repro.kernels.propagate import propagate_pass, segmented_sort_pass
 from repro.kernels.scheduler import bin_vertices_by_degree
-
-
-def _resolve_pinned(
-    program: LPProgram, graph: CSRGraph
-) -> Optional[np.ndarray]:
-    """The program's pinned-vertex set as sorted unique int64 (or None)."""
-    pinned = program.pinned_vertices(graph)
-    if pinned is None:
-        return None
-    return np.unique(np.asarray(pinned, dtype=np.int64))
-
-
-def _coerce_warm_labels(
-    warm_labels: np.ndarray, graph: CSRGraph, init_labels: np.ndarray
-) -> np.ndarray:
-    """Validate an engine's ``warm_labels=`` argument."""
-    warm = np.asarray(warm_labels)
-    if warm.shape != (graph.num_vertices,):
-        raise ConvergenceError(
-            f"warm_labels must carry one label per vertex "
-            f"({graph.num_vertices}), got shape {warm.shape}"
-        )
-    return warm.astype(init_labels.dtype, copy=True)
 
 
 class GLPEngine:
@@ -125,187 +99,27 @@ class GLPEngine:
         self.pass_kind = pass_kind
         self.frontier = resolve_frontier(frontier)
 
+    #: The shared BSP loop (:func:`repro.core.driver.drive`).
+    run = drive
+
     # ------------------------------------------------------------------
-    def run(
-        self,
-        graph: CSRGraph,
-        program: LPProgram,
-        *,
-        max_iterations: int = 20,
-        record_history: bool = False,
-        stop_on_convergence: bool = True,
-        retry_policy: "Optional[object]" = None,
-        checkpoint_dir: Optional[str] = None,
-        resume_from: Union[object, str, None] = None,
-        initial_frontier: Optional[np.ndarray] = None,
-        warm_labels: Optional[np.ndarray] = None,
-    ) -> LPResult:
-        """Execute ``program`` on ``graph`` for up to ``max_iterations``.
+    def _initial_carry(self, initial: Optional[np.ndarray]) -> dict:
+        """Carry: the active frontier (``None`` means a dense round)."""
+        return {"frontier_vertices": initial}
 
-        Incremental re-convergence (see ``docs/incremental_lp.md``):
-
-        ``initial_frontier``
-            Vertex ids iteration 1 processes *sparsely* instead of the
-            mandatory dense pass — the affected set of a window slide.
-            Requires frontier mode and a ``frontier_safe`` program;
-            silently ignored otherwise (the dense run is a correct
-            superset).  Only the frontier's edges are charged.
-        ``warm_labels``
-            Prior label state to resume from in place of
-            ``program.init_labels``'s output (the program still
-            initializes its own state and may pin seeds on top).
-
-        Resilience (all off by default — the fault-free path is bitwise
-        identical to an engine without the recovery layer):
-
-        ``retry_policy``
-            A :class:`~repro.resilience.RetryPolicy`; device faults are
-            recovered by restoring the BSP-boundary checkpoint and
-            re-running (bounded retries for transient faults, bounded
-            resumes for fatal ones).  OOM always propagates — stepping
-            down engines is ``run_auto``'s job.
-        ``checkpoint_dir``
-            Persist the per-iteration :class:`~repro.resilience.
-            RunCheckpoint` here so a killed run can be resumed.
-        ``resume_from``
-            A ``RunCheckpoint``, a checkpoint file, or a directory to
-            resume from; the resumed run's final labels are bitwise
-            identical to an uninterrupted run's.
-        """
-        if max_iterations <= 0:
-            raise ConvergenceError("max_iterations must be positive")
-        from repro.resilience.recovery import RecoveryContext
-
+    @contextlib.contextmanager
+    def _attempt(self, run: BSPRun):
+        """Device residency for one attempt; yields the BSP step."""
         device = self.device
-        device.reset_timing()
-
-        labels = program.init_labels(graph)
-        if warm_labels is not None:
-            labels = _coerce_warm_labels(warm_labels, graph, labels)
-        program.init_state(graph, labels)
-        validate_program(program, graph, labels)
-
-        initial = None
-        if (
-            initial_frontier is not None
-            and self.frontier.enabled
-            and program.frontier_safe
-        ):
-            initial = coerce_initial_frontier(
-                initial_frontier, graph.num_vertices
-            )
-        recovery = RecoveryContext.for_run(
-            self.name,
-            retry_policy=retry_policy,
-            checkpoint_dir=checkpoint_dir,
-            resume_from=resume_from,
-        )
-        state: Dict[str, object] = {
-            "labels": labels,
-            "frontier_vertices": initial,
-            "iteration": 1,
-        }
-        iterations: list = []
-        history: Optional[list] = [] if record_history else None
-        if recovery is not None:
-            ckpt = recovery.resume_checkpoint(graph=graph, program=program)
-            if ckpt is not None:
-                self._restore(state, program, ckpt)
-            else:
-                # Cover faults during residency setup: the pre-run state
-                # is itself a consistent BSP boundary.
-                recovery.checkpoint(
-                    graph=graph,
-                    program=program,
-                    iteration=1,
-                    labels=labels,
-                    engine_state={"frontier_vertices": initial},
-                )
-        attempts = 0
-        while True:
-            attempts += 1
-            with obs.correlate(attempt_id=obs.mint_id("attempt")):
-                obs.emit(
-                    "engine.attempt.start",
-                    engine=self.name,
-                    attempt=attempts,
-                    start_iteration=int(state["iteration"]),
-                )
-                try:
-                    result = self._attempt(
-                        graph,
-                        program,
-                        state,
-                        iterations,
-                        history,
-                        recovery,
-                        max_iterations=max_iterations,
-                        stop_on_convergence=stop_on_convergence,
-                    )
-                except DeviceFault as fault:
-                    obs.emit(
-                        "engine.attempt.fault",
-                        engine=self.name,
-                        attempt=attempts,
-                        kind=fault.kind,
-                        transient=fault.transient,
-                        iteration=int(state["iteration"]),
-                    )
-                    if recovery is None:
-                        raise
-                    ckpt = recovery.on_fault(fault)
-                    with recovery.recovery_span(
-                        fault, int(state["iteration"])
-                    ):
-                        self._restore(state, program, ckpt)
-                    obs.emit(
-                        "recovery.restore",
-                        engine=self.name,
-                        iteration=int(ckpt.iteration),
-                        kind=fault.kind,
-                    )
-                    continue
-                obs.emit(
-                    "engine.attempt.end",
-                    engine=self.name,
-                    attempt=attempts,
-                    outcome="ok",
-                    iterations=result.num_iterations,
-                )
-                return result
-
-    @staticmethod
-    def _restore(state: Dict[str, object], program: LPProgram, ckpt) -> None:
-        """Reset the mutable run state to a checkpoint."""
-        ckpt.restore_program(program)
-        state["labels"] = ckpt.restored_labels()
-        state["frontier_vertices"] = ckpt.restored_engine_state().get(
-            "frontier_vertices"
-        )
-        state["iteration"] = ckpt.iteration
-
-    def _attempt(
-        self,
-        graph: CSRGraph,
-        program: LPProgram,
-        state: Dict[str, object],
-        iterations: list,
-        history: Optional[list],
-        recovery,
-        *,
-        max_iterations: int,
-        stop_on_convergence: bool,
-    ) -> LPResult:
-        """One execution attempt from the current run state to the end."""
-        device = self.device
-        labels = state["labels"]
-        track_frontier = self.frontier.enabled and program.frontier_safe
+        graph, program = run.graph, run.program
+        track_frontier = run.track_frontier
         reversed_graph = graph.reversed() if track_frontier else None
 
         # Device residency: CSR arrays + the double-buffered label arrays,
-        # plus — in frontier mode — the reversed CSR and the frontier bitmap.
-        # Each upload is tagged with its semantic category so the memory
-        # tracker (when installed) attributes the watermark correctly.
+        # plus — in frontier mode — the reversed CSR and the frontier
+        # bitmap.  Each upload is tagged with its semantic category so the
+        # memory tracker (when installed) attributes the watermark
+        # correctly.
         tracker = hooks.memory()
         if tracker is not None:
             from repro.core.hybrid import device_footprint
@@ -315,60 +129,40 @@ class GLPEngine:
                 device,
                 device_footprint(graph, program, frontier=self.frontier),
             )
-        with obs.alloc_scope("csr", "glp.residency"):
-            resident = [
-                device.h2d(graph.offsets),
-                device.h2d(graph.indices),
-            ]
-        with obs.alloc_scope("labels", "glp.residency"):
-            resident.append(device.h2d(labels))
-            resident.append(device.alloc(labels.shape, labels.dtype))
-        if graph.weights is not None:
-            with obs.alloc_scope("csr", "glp.residency"):
-                resident.append(device.h2d(graph.weights))
-        if track_frontier:
-            with obs.alloc_scope("reversed-csr", "glp.residency"):
-                resident.append(device.h2d(reversed_graph.offsets))
-                resident.append(device.h2d(reversed_graph.indices))
-            with obs.alloc_scope("frontier", "glp.residency"):
-                resident.append(
-                    device.alloc((graph.num_vertices,), np.uint8)
-                )
-
-        # Degrees are static, so the dense pass's degree bins are memoized
-        # across iterations (frontier passes bin their subset per round).
-        full_bins = None
-        pinned = _resolve_pinned(program, graph) if track_frontier else None
-        frontier_vertices: Optional[np.ndarray] = state["frontier_vertices"]
-        if frontier_vertices is not None:
-            frontier_vertices = prune_pinned(frontier_vertices, pinned)
-
-        start_iteration = int(state["iteration"])
-        # A fault can fire after an iteration's history append but before
-        # its stats append (frontier advance launches kernels); drop any
-        # records at or past the restore point so re-runs never duplicate.
-        del iterations[start_iteration - 1 :]
-        if history is not None:
-            del history[start_iteration - 1 :]
-        converged = False
-        active_tracer = obs.tracer()
-        run_started = time.perf_counter() if active_tracer else 0.0
+        resident = []
         try:
-            for iteration in range(start_iteration, max_iterations + 1):
-                state["iteration"] = iteration
-                if recovery is not None:
-                    recovery.checkpoint(
-                        graph=graph,
-                        program=program,
-                        iteration=iteration,
-                        labels=labels,
-                        engine_state={
-                            "frontier_vertices": frontier_vertices,
-                        },
-                    )
-                iter_started = (
-                    time.perf_counter() if active_tracer else 0.0
+            with obs.alloc_scope("csr", "glp.residency"):
+                resident.append(device.h2d(graph.offsets))
+                resident.append(device.h2d(graph.indices))
+            with obs.alloc_scope("labels", "glp.residency"):
+                resident.append(device.h2d(run.labels))
+                resident.append(
+                    device.alloc(run.labels.shape, run.labels.dtype)
                 )
+            if graph.weights is not None:
+                with obs.alloc_scope("csr", "glp.residency"):
+                    resident.append(device.h2d(graph.weights))
+            if track_frontier:
+                with obs.alloc_scope("reversed-csr", "glp.residency"):
+                    resident.append(device.h2d(reversed_graph.offsets))
+                    resident.append(device.h2d(reversed_graph.indices))
+                with obs.alloc_scope("frontier", "glp.residency"):
+                    resident.append(
+                        device.alloc((graph.num_vertices,), np.uint8)
+                    )
+            if run.carry["frontier_vertices"] is not None:
+                run.carry["frontier_vertices"] = prune_pinned(
+                    run.carry["frontier_vertices"], run.pinned
+                )
+            # Degrees are static, so the dense pass's degree bins are
+            # memoized across iterations (frontier passes bin their
+            # subset per round).
+            full_bins = None
+
+            def step(iteration: int):
+                nonlocal full_bins
+                labels = run.labels
+                frontier_vertices = run.carry["frontier_vertices"]
                 kernel_before = device.kernel_seconds
                 transfer_before = device.transfer_seconds
                 counters_before = device.counters.copy()
@@ -387,7 +181,6 @@ class GLPEngine:
                         graph.num_vertices,
                     )
                 )
-
                 ctx = KernelContext(
                     device=device,
                     graph=graph,
@@ -396,13 +189,11 @@ class GLPEngine:
                     config=self.config,
                 )
                 if sparse:
-                    processed = frontier_vertices
                     if self.pass_kind == "gsort":
-                        result = segmented_sort_pass(ctx, processed)
+                        result = segmented_sort_pass(ctx, frontier_vertices)
                     else:
-                        result = propagate_pass(ctx, processed)
+                        result = propagate_pass(ctx, frontier_vertices)
                 else:
-                    processed = None
                     if full_bins is None:
                         full_bins = bin_vertices_by_degree(
                             graph,
@@ -423,16 +214,7 @@ class GLPEngine:
                         labels,
                     )
                     self._account_map_kernel(result.vertices.size)
-
-                program.on_iteration_end(graph, labels, new_labels, iteration)
                 changed_mask = new_labels != labels
-                changed = int(np.count_nonzero(changed_mask))
-                iteration_converged = program.converged(
-                    labels, new_labels, iteration
-                )
-                labels = new_labels
-                if history is not None:
-                    history.append(labels.copy())
 
                 kernel_stats = dict(result.stats)
                 kernel_stats["pass_mode"] = "sparse" if sparse else "dense"
@@ -442,17 +224,15 @@ class GLPEngine:
                         if graph.num_vertices
                         else 0.0
                     )
-                    # Advance the frontier for the next round (the expand +
-                    # compact kernels are timed on the device).  Pinned
-                    # vertices are pruned — their update is a no-op, so
-                    # skipping them changes no label and no trajectory.
-                    frontier_vertices = prune_pinned(
+                    # Advance the frontier for the next round (the expand
+                    # + compact kernels are timed on the device).
+                    run.carry["frontier_vertices"] = prune_pinned(
                         next_frontier(
                             device,
                             reversed_graph,
                             np.flatnonzero(changed_mask),
                         ),
-                        pinned,
+                        run.pinned,
                     )
 
                 stats = IterationStats(
@@ -467,7 +247,7 @@ class GLPEngine:
                     transfer_seconds=(
                         device.transfer_seconds - transfer_before
                     ),
-                    changed_vertices=changed,
+                    changed_vertices=int(np.count_nonzero(changed_mask)),
                     counters=device.counters.delta_since(counters_before),
                     kernel_stats=kernel_stats,
                     frontier_size=int(result.vertices.size),
@@ -477,49 +257,18 @@ class GLPEngine:
                         else 0
                     ),
                 )
-                iterations.append(stats)
-                observe_iteration(
-                    self.name, stats, graph.num_vertices, track_frontier
-                )
-                if active_tracer is not None:
-                    active_tracer.host_event(
-                        f"iteration {iteration}",
-                        iter_started,
-                        cat="engine",
-                        args={
-                            "modeled_seconds": stats.seconds,
-                            "changed_vertices": changed,
-                            "pass_mode": kernel_stats["pass_mode"],
-                        },
-                    )
-                if iteration_converged and stop_on_convergence:
-                    converged = True
-                    break
+                return new_labels, stats, {
+                    "pass_mode": kernel_stats["pass_mode"]
+                }
+
+            yield step
         finally:
             for handle in resident:
                 device.free(handle)
-            if active_tracer is not None:
-                active_tracer.host_event(
-                    "glp-run",
-                    run_started,
-                    cat="engine",
-                    args={
-                        "engine": self.name,
-                        "graph": graph.name,
-                        "program": program.name,
-                    },
-                )
 
-        result = LPResult(
-            labels=program.final_labels(labels),
-            iterations=iterations,
-            converged=converged,
-            engine=self.name if self.pass_kind == "binned" else "G-Sort",
-            history=history,
-            final_frontier=frontier_vertices if track_frontier else None,
-        )
-        observe_run(result.engine, result)
-        return result
+    def _finish(self, run: BSPRun) -> Optional[np.ndarray]:
+        """The residual frontier: the carry after the last round."""
+        return run.carry["frontier_vertices"] if run.track_frontier else None
 
     # ------------------------------------------------------------------
     def _account_map_kernel(self, num_vertices: int) -> None:

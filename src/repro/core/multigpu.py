@@ -19,17 +19,15 @@ the pass shape), using the total frontier fraction.
 
 from __future__ import annotations
 
-import time
-from typing import Dict, List, Optional, Union
+import contextlib
+from typing import List, Optional
 
 import numpy as np
 
 from repro import obs
-from repro.core.api import LPProgram, validate_program
-from repro.core.instrument import observe_iteration, observe_run
-from repro.core.results import IterationStats, LPResult
-from repro.errors import ConvergenceError, DeviceFault
-from repro.graph.csr import CSRGraph
+from repro.core.driver import BSPRun, drive
+from repro.core.results import IterationStats
+from repro.errors import ConvergenceError
 from repro.graph.partition import balanced_edge_partition
 from repro.gpusim import hooks
 from repro.gpusim.config import TITAN_V, DeviceSpec
@@ -39,7 +37,6 @@ from repro.gpusim.timing import transfer_time
 from repro.kernels.base import ELEM_BYTES, GLP_DEFAULT, KernelContext, StrategyConfig
 from repro.kernels.frontier import (
     FrontierConfig,
-    coerce_initial_frontier,
     expand_frontier,
     compact_frontier,
     prune_pinned,
@@ -82,168 +79,26 @@ class MultiGPUEngine:
         return len(self.devices)
 
     # ------------------------------------------------------------------
-    def run(
-        self,
-        graph: CSRGraph,
-        program: LPProgram,
-        *,
-        max_iterations: int = 20,
-        record_history: bool = False,
-        stop_on_convergence: bool = True,
-        retry_policy: "Optional[object]" = None,
-        checkpoint_dir: Optional[str] = None,
-        resume_from: Union[object, str, None] = None,
-        initial_frontier: Optional[np.ndarray] = None,
-        warm_labels: Optional[np.ndarray] = None,
-    ) -> LPResult:
-        """Run ``program``; resilience options mirror :meth:`GLPEngine.run`.
+    #: The shared BSP loop (:func:`repro.core.driver.drive`).
+    run = drive
 
-        Checkpoints additionally carry the per-partition frontier lists,
-        so a resumed sparse round re-executes on every device exactly as
-        the uninterrupted run would have.
+    def _initial_carry(self, initial: Optional[np.ndarray]) -> dict:
+        """Carry: per-partition frontier lists (``None`` means a dense
+        round), plus the affected set a sparse iteration 1 splits."""
+        return {"part_frontiers": None, "initial_frontier": initial}
 
-        ``initial_frontier``/``warm_labels`` mirror :meth:`GLPEngine.run`:
-        when the program is frontier-safe and frontier machinery is on,
-        iteration 1 runs sparse over the given affected set (split across
-        partitions by vertex ownership) instead of the dense full pass.
+    @contextlib.contextmanager
+    def _attempt(self, run: BSPRun):
+        """Partition the graph for one attempt; yields the BSP step.
+
+        Checkpoints carry the per-partition frontier lists, so a resumed
+        sparse round re-executes on every device exactly as the
+        uninterrupted run would have.
         """
-        if max_iterations <= 0:
-            raise ConvergenceError("max_iterations must be positive")
-        from repro.core.framework import _coerce_warm_labels
-        from repro.resilience.recovery import RecoveryContext
-
-        for device in self.devices:
-            device.reset_timing()
-
-        labels = program.init_labels(graph)
-        if warm_labels is not None:
-            labels = _coerce_warm_labels(warm_labels, graph, labels)
-        program.init_state(graph, labels)
-        validate_program(program, graph, labels)
-
-        initial: Optional[np.ndarray] = None
-        if (
-            initial_frontier is not None
-            and self.frontier.enabled
-            and program.frontier_safe
-        ):
-            initial = coerce_initial_frontier(
-                initial_frontier, graph.num_vertices
-            )
-
-        recovery = RecoveryContext.for_run(
-            self.name,
-            retry_policy=retry_policy,
-            checkpoint_dir=checkpoint_dir,
-            resume_from=resume_from,
-        )
-        state: Dict[str, object] = {
-            "labels": labels,
-            "part_frontiers": None,
-            "initial_frontier": initial,
-            "iteration": 1,
-        }
-        iterations: List[IterationStats] = []
-        history: Optional[list] = [] if record_history else None
-        if recovery is not None:
-            ckpt = recovery.resume_checkpoint(graph=graph, program=program)
-            if ckpt is not None:
-                self._restore(state, program, ckpt)
-            else:
-                recovery.checkpoint(
-                    graph=graph,
-                    program=program,
-                    iteration=1,
-                    labels=labels,
-                    engine_state={
-                        "part_frontiers": None,
-                        "initial_frontier": initial,
-                    },
-                )
-        attempts = 0
-        while True:
-            attempts += 1
-            with obs.correlate(attempt_id=obs.mint_id("attempt")):
-                obs.emit(
-                    "engine.attempt.start",
-                    engine=self.name,
-                    attempt=attempts,
-                    start_iteration=int(state["iteration"]),
-                )
-                try:
-                    result = self._attempt(
-                        graph,
-                        program,
-                        state,
-                        iterations,
-                        history,
-                        recovery,
-                        max_iterations=max_iterations,
-                        stop_on_convergence=stop_on_convergence,
-                    )
-                except DeviceFault as fault:
-                    obs.emit(
-                        "engine.attempt.fault",
-                        engine=self.name,
-                        attempt=attempts,
-                        kind=fault.kind,
-                        transient=fault.transient,
-                        iteration=int(state["iteration"]),
-                    )
-                    if recovery is None:
-                        raise
-                    ckpt = recovery.on_fault(fault)
-                    with recovery.recovery_span(
-                        fault, int(state["iteration"])
-                    ):
-                        self._restore(state, program, ckpt)
-                    obs.emit(
-                        "recovery.restore",
-                        engine=self.name,
-                        iteration=int(ckpt.iteration),
-                        kind=fault.kind,
-                    )
-                    continue
-                obs.emit(
-                    "engine.attempt.end",
-                    engine=self.name,
-                    attempt=attempts,
-                    outcome="ok",
-                    iterations=result.num_iterations,
-                )
-                return result
-
-    @staticmethod
-    def _restore(state: Dict[str, object], program: LPProgram, ckpt) -> None:
-        """Reset the mutable run state to a checkpoint."""
-        ckpt.restore_program(program)
-        state["labels"] = ckpt.restored_labels()
-        engine_state = ckpt.restored_engine_state()
-        state["part_frontiers"] = engine_state.get("part_frontiers")
-        state["initial_frontier"] = engine_state.get("initial_frontier")
-        state["iteration"] = ckpt.iteration
-
-    def _attempt(
-        self,
-        graph: CSRGraph,
-        program: LPProgram,
-        state: Dict[str, object],
-        iterations: List[IterationStats],
-        history: Optional[list],
-        recovery,
-        *,
-        max_iterations: int,
-        stop_on_convergence: bool,
-    ) -> LPResult:
-        """One execution attempt from the current run state to the end."""
-        from repro.core.framework import _resolve_pinned
-
-        labels = state["labels"]
+        graph, program = run.graph, run.program
         parts = balanced_edge_partition(graph, self.num_gpus)
-        track_frontier = self.frontier.enabled and program.frontier_safe
+        track_frontier = run.track_frontier
         reversed_graph = graph.reversed() if track_frontier else None
-        # Pinned vertices never change; prune them from sparse frontiers.
-        pinned = _resolve_pinned(program, graph) if track_frontier else None
 
         # Per-partition vertex ranges and their memoized degree bins
         # (degrees are static, so dense rounds never re-bin).
@@ -261,44 +116,26 @@ class MultiGPUEngine:
             else None
             for vertices in part_vertices
         ]
-        # Per-partition active frontier; None means "dense round".
-        part_frontiers: Optional[List[np.ndarray]] = state["part_frontiers"]
-
-        start_iteration = int(state["iteration"])
         # Incremental start: split the caller's affected set by vertex
-        # ownership so iteration 1 runs sparse on every device.  Once the
-        # loop checkpoints, ``part_frontiers`` carries the split and a
-        # restore re-seeds it without consulting ``initial_frontier``.
-        initial: Optional[np.ndarray] = state.get("initial_frontier")
+        # ownership so iteration 1 runs sparse on every device.  From then
+        # on ``part_frontiers`` carries the split, and a restore re-seeds
+        # it without consulting ``initial_frontier``.
+        initial = run.carry.pop("initial_frontier", None)
         if (
             track_frontier
-            and part_frontiers is None
+            and run.carry["part_frontiers"] is None
             and initial is not None
-            and start_iteration == 1
+            and run.iteration == 1
         ):
-            initial = prune_pinned(initial, pinned)
-            part_frontiers = [
+            initial = prune_pinned(initial, run.pinned)
+            run.carry["part_frontiers"] = [
                 initial[(initial >= part.start) & (initial < part.stop)]
                 for part in parts
             ]
-        del iterations[start_iteration - 1 :]
-        if history is not None:
-            del history[start_iteration - 1 :]
-        converged = False
-        active_tracer = obs.tracer()
-        run_started = time.perf_counter() if active_tracer else 0.0
 
-        for iteration in range(start_iteration, max_iterations + 1):
-            state["iteration"] = iteration
-            if recovery is not None:
-                recovery.checkpoint(
-                    graph=graph,
-                    program=program,
-                    iteration=iteration,
-                    labels=labels,
-                    engine_state={"part_frontiers": part_frontiers},
-                )
-            iter_started = time.perf_counter() if active_tracer else 0.0
+        def step(iteration: int):
+            labels = run.labels
+            part_frontiers = run.carry["part_frontiers"]
             picked = program.pick_labels(graph, labels, iteration)
             best_labels = picked.astype(LABEL_DTYPE, copy=True)
             best_scores = np.full(
@@ -322,9 +159,7 @@ class MultiGPUEngine:
             for i, (device, part) in enumerate(zip(self.devices, parts)):
                 kernel_before = device.kernel_seconds
                 counters_before = device.counters.copy()
-                vertices = (
-                    part_frontiers[i] if sparse else part_vertices[i]
-                )
+                vertices = part_frontiers[i] if sparse else part_vertices[i]
                 if vertices.size:
                     ctx = KernelContext(
                         device=device,
@@ -359,10 +194,10 @@ class MultiGPUEngine:
                 processed, best_labels[processed], best_scores[processed], labels
             )
 
-            # Label exchange: each device broadcasts the *changed* labels of
-            # its partition to the peers ((id, label) pairs over PCIe peer
-            # copies; peers upload concurrently, so the per-iteration cost
-            # is the busiest device's share).
+            # Label exchange: each device broadcasts the *changed* labels
+            # of its partition to the peers ((id, label) pairs over PCIe
+            # peer copies; peers upload concurrently, so the per-iteration
+            # cost is the busiest device's share).
             changed_mask = new_labels != labels
             exchange_seconds = 0.0
             exchange_bytes = 0
@@ -400,9 +235,7 @@ class MultiGPUEngine:
                         device, reversed_graph, local_changed
                     )
                     owners = (
-                        np.searchsorted(
-                            boundaries, candidates, side="right"
-                        )
+                        np.searchsorted(boundaries, candidates, side="right")
                         - 1
                     )
                     remote = candidates[owners != i]
@@ -430,34 +263,21 @@ class MultiGPUEngine:
                             compact_frontier(
                                 device, graph.num_vertices, merged
                             ),
-                            pinned,
+                            run.pinned,
                         )
                     )
+                run.carry["part_frontiers"] = part_frontiers
 
-            program.on_iteration_end(graph, labels, new_labels, iteration)
-            changed = int(np.count_nonzero(changed_mask))
-            iteration_converged = program.converged(labels, new_labels, iteration)
-            labels = new_labels
-            if history is not None:
-                history.append(labels.copy())
-
-            seconds = max(device_seconds) + exchange_seconds
             stats = IterationStats(
                 iteration=iteration,
-                seconds=seconds,
+                seconds=max(device_seconds) + exchange_seconds,
                 kernel_seconds=max(device_seconds),
                 transfer_seconds=exchange_seconds,
-                changed_vertices=changed,
+                changed_vertices=int(np.count_nonzero(changed_mask)),
                 counters=counters_total,
-                kernel_stats={
-                    "pass_mode": "sparse" if sparse else "dense"
-                },
+                kernel_stats={"pass_mode": "sparse" if sparse else "dense"},
                 frontier_size=processed_vertices,
                 processed_edges=processed_edges,
-            )
-            iterations.append(stats)
-            observe_iteration(
-                self.name, stats, graph.num_vertices, track_frontier
             )
             # The exchange is modeled straight on the transfer clock (no
             # DeviceArray ever exists), so the memory tracker is told
@@ -479,41 +299,14 @@ class MultiGPUEngine:
                     exchange_seconds,
                     engine=self.name,
                 )
-            if active_tracer is not None:
-                active_tracer.host_event(
-                    f"iteration {iteration}",
-                    iter_started,
-                    cat="engine",
-                    args={
-                        "modeled_seconds": seconds,
-                        "exchange_bytes": exchange_bytes,
-                        "changed_vertices": changed,
-                    },
-                )
-            if iteration_converged and stop_on_convergence:
-                converged = True
-                break
+            return new_labels, stats, {"exchange_bytes": exchange_bytes}
 
-        if active_tracer is not None:
-            active_tracer.host_event(
-                "multigpu-run",
-                run_started,
-                cat="engine",
-                args={"engine": self.name, "graph": graph.name},
-            )
-        result = LPResult(
-            labels=program.final_labels(labels),
-            iterations=iterations,
-            converged=converged,
-            engine=self.name,
-            history=history,
-            # Partition frontiers are disjoint (owner-assigned), so the
-            # residual frontier is just their sorted union.
-            final_frontier=(
-                np.unique(np.concatenate(part_frontiers))
-                if track_frontier and part_frontiers is not None
-                else None
-            ),
-        )
-        observe_run(self.name, result)
-        return result
+        yield step
+
+    def _finish(self, run: BSPRun) -> Optional[np.ndarray]:
+        """The residual frontier: the union of the partition frontiers
+        (disjoint, since each candidate is owner-assigned)."""
+        part_frontiers = run.carry["part_frontiers"]
+        if not run.track_frontier or part_frontiers is None:
+            return None
+        return np.unique(np.concatenate(part_frontiers))

@@ -1,6 +1,7 @@
 """Engine-side recovery: retry policy + checkpoint lifecycle.
 
-One :class:`RecoveryContext` accompanies one engine run.  The engine
+One :class:`RecoveryContext` accompanies one engine run.  The run driver
+(:func:`repro.core.driver.drive`)
 
 1. calls :meth:`RecoveryContext.resume_checkpoint` once before its loop
    (resume-from-disk / resume-from-object);

@@ -14,6 +14,8 @@ import numpy as np
 import pytest
 
 from repro import ClassicLP, GLPEngine, obs
+from repro.core.hybrid import HybridEngine
+from repro.core.multigpu import MultiGPUEngine
 from repro.errors import KernelAbortFault, OutOfDeviceMemoryError
 from repro.graph.generators import planted_partition_graph
 from repro.obs.journal import (
@@ -29,6 +31,14 @@ from repro.pipeline.transactions import (
     TransactionStreamConfig,
 )
 from repro.resilience import FaultPlan, RetryPolicy, inject
+from tests.core.test_hybrid import small_spec_for
+
+#: The three device engines that share the run driver.
+ENGINES = {
+    "glp": lambda graph: GLPEngine(),
+    "hybrid": lambda graph: HybridEngine(spec=small_spec_for(graph, 0.5)),
+    "multigpu": lambda graph: MultiGPUEngine(2),
+}
 
 
 @pytest.fixture(scope="module")
@@ -176,22 +186,23 @@ class TestCorrelation:
         assert args["attempt_id"] == "a-1"
 
 
+@pytest.mark.parametrize("engine", sorted(ENGINES))
 class TestEngineAttemptChain:
-    def test_clean_run_records_one_attempt(self, graph):
+    def test_clean_run_records_one_attempt(self, graph, engine):
         with obs.observe() as session:
-            GLPEngine().run(graph, ClassicLP(), max_iterations=6)
+            ENGINES[engine](graph).run(graph, ClassicLP(), max_iterations=6)
         starts = session.journal.events_for(event="engine.attempt.start")
         ends = session.journal.events_for(event="engine.attempt.end")
         assert len(starts) == 1 and len(ends) == 1
         assert starts[0]["attempt_id"] == ends[0]["attempt_id"]
         assert ends[0]["outcome"] == "ok"
 
-    def test_faulted_run_chains_attempts_through_recovery(self, graph):
+    def test_faulted_run_chains_attempts_through_recovery(self, graph, engine):
         """One injected transient fault: attempt 1 faults, recovery
         restores, attempt 2 finishes — all under distinct attempt IDs."""
         with obs.observe() as session:
             with inject(FaultPlan.parse("kernel@3")):
-                GLPEngine().run(
+                ENGINES[engine](graph).run(
                     graph, ClassicLP(), max_iterations=6,
                     retry_policy=RetryPolicy(max_retries=2),
                 )
@@ -219,9 +230,9 @@ class TestEngineAttemptChain:
         assert len(injected) == 1
         assert injected[0]["attempt_id"] == failed_id
 
-    def test_checkpoint_events_carry_path_annotation(self, graph):
+    def test_checkpoint_events_carry_path_annotation(self, graph, engine):
         with obs.observe() as session:
-            GLPEngine().run(
+            ENGINES[engine](graph).run(
                 graph, ClassicLP(), max_iterations=6,
                 retry_policy=RetryPolicy(),
             )

@@ -9,10 +9,12 @@ produces, across classic/seeded programs and dense/frontier execution.
 import numpy as np
 import pytest
 
-from repro import ClassicLP, GLPEngine, SeededFraudLP
+from repro import ClassicLP, GLPEngine, SeededFraudLP, obs
+from repro.baselines.gsort import GSortEngine
 from repro.core.hybrid import HybridEngine
 from repro.core.multigpu import MultiGPUEngine
 from repro.errors import KernelAbortFault
+from repro.gpusim import hooks
 from repro.graph.generators import planted_partition_graph
 from repro.resilience import (
     FaultPlan,
@@ -23,6 +25,15 @@ from repro.resilience import (
 from tests.core.test_hybrid import small_spec_for
 
 SEEDS = {0: 101, 40: 202, 120: 303}
+
+#: The three device engines that share the run driver.
+ENGINES = {
+    "glp": lambda graph, **kw: GLPEngine(**kw),
+    "hybrid": lambda graph, **kw: HybridEngine(
+        spec=small_spec_for(graph, 0.5), **kw
+    ),
+    "multigpu": lambda graph, **kw: MultiGPUEngine(2, **kw),
+}
 
 
 @pytest.fixture(scope="module")
@@ -44,6 +55,33 @@ def mid_run_plan(engine, graph, program, kind, **run_kwargs):
     total = counter.counts[stream]
     assert total > 1, f"workload has no {stream} events to fault"
     return FaultPlan.parse(f"{spec_kind}@{max(2, total // 2)}")
+
+
+class LaunchLog:
+    """A fault-hook subscriber recording kernel launch names in order."""
+
+    def __init__(self) -> None:
+        self.names = []
+
+    def on_alloc(self, device, nbytes):
+        pass
+
+    def on_transfer(self, device, nbytes, direction):
+        pass
+
+    def on_launch(self, device, name):
+        self.names.append(name)
+
+
+def launch_names(run):
+    log = LaunchLog()
+    previous = hooks.faults()
+    hooks.set_faults(log)
+    try:
+        run()
+    finally:
+        hooks.set_faults(previous)
+    return log.names
 
 
 class TestFaultFreeIdentity:
@@ -80,23 +118,82 @@ class TestRecoveredRunIdentity:
         assert recovered.labels_hash() == reference.labels_hash()
         assert recovered.num_iterations == reference.num_iterations
 
-    def test_glp_recovery_history_not_duplicated(self, graph):
+    @pytest.mark.parametrize("engine", sorted(ENGINES))
+    def test_glp_recovery_history_not_duplicated(self, graph, engine):
+        make = ENGINES[engine]
         kwargs = dict(
             max_iterations=8, stop_on_convergence=False,
             record_history=True,
         )
-        reference = GLPEngine().run(graph, ClassicLP(), **kwargs)
+        reference = make(graph).run(graph, ClassicLP(), **kwargs)
         plan = mid_run_plan(
-            GLPEngine(), graph, ClassicLP(), "kernel", **kwargs
+            make(graph), graph, ClassicLP(), "kernel", **kwargs
         )
         with inject(plan):
-            recovered = GLPEngine().run(
+            recovered = make(graph).run(
                 graph, ClassicLP(), retry_policy=RetryPolicy(), **kwargs
             )
         assert len(recovered.iterations) == len(reference.iterations)
         assert len(recovered.history) == len(reference.history)
         for ref, rec in zip(reference.history, recovered.history):
             assert np.array_equal(ref, rec)
+
+    @pytest.mark.parametrize("engine", ["glp", "multigpu"])
+    def test_resumed_run_retry_history_not_duplicated(
+        self, graph, tmp_path, engine
+    ):
+        """A resumed run that retries a fault keeps one record per round.
+
+        Records are truncated relative to the run's first iteration, not
+        iteration 1.  The fault lands on a frontier-expand launch midway
+        through the resumed run, after that iteration's new labels exist.
+        """
+        make = ENGINES[engine]
+        make(graph, frontier="frontier").run(
+            graph, ClassicLP(), max_iterations=3,
+            stop_on_convergence=False, checkpoint_dir=str(tmp_path),
+        )
+        kwargs = dict(
+            max_iterations=8, stop_on_convergence=False,
+            record_history=True, resume_from=str(tmp_path),
+        )
+        reference = make(graph, frontier="frontier").run(
+            graph, ClassicLP(), **kwargs
+        )
+        names = launch_names(
+            lambda: make(graph, frontier="frontier").run(
+                graph, ClassicLP(), **kwargs
+            )
+        )
+        expands = [i for i, n in enumerate(names) if n == "frontier-expand"]
+        target = expands[len(expands) // 3] + 1
+        with inject(FaultPlan.parse(f"kernel@{target}")) as injector:
+            recovered = make(graph, frontier="frontier").run(
+                graph, ClassicLP(), retry_policy=RetryPolicy(), **kwargs
+            )
+        assert len(injector.events) == 1
+        assert reference.iterations[0].iteration == 3
+        assert len(recovered.iterations) == len(reference.iterations) == 6
+        assert len(recovered.history) == len(reference.history) == 6
+        for ref, rec in zip(reference.history, recovered.history):
+            assert np.array_equal(ref, rec)
+        assert recovered.labels_hash() == reference.labels_hash()
+
+    @pytest.mark.parametrize("engine", ["glp", "hybrid"])
+    def test_setup_fault_releases_residency(self, graph, engine):
+        """A fault while uploading the residency frees what was uploaded,
+        so the retried attempt does not run out of device memory."""
+        make = ENGINES[engine]
+        kwargs = dict(max_iterations=8, stop_on_convergence=False)
+        reference = make(graph).run(graph, ClassicLP(), **kwargs)
+        recovering = make(graph)
+        with inject(FaultPlan.parse("transfer@2")) as injector:
+            recovered = recovering.run(
+                graph, ClassicLP(), retry_policy=RetryPolicy(), **kwargs
+            )
+        assert [e.detail for e in injector.events][0].startswith("h2d")
+        assert recovered.labels_hash() == reference.labels_hash()
+        assert recovering.device.allocated_bytes == 0
 
     def test_hybrid_identity(self, graph):
         spec = small_spec_for(graph, 0.5)
@@ -135,18 +232,29 @@ class TestRecoveredRunIdentity:
         assert recovered.labels_hash() == reference.labels_hash()
 
 
+def kill_plan(make, graph, **run_kwargs):
+    """A persistent kernel fault halfway through the workload's launches."""
+    with count_events() as counter:
+        make(graph).run(graph, ClassicLP(), **run_kwargs)
+    total = counter.counts["launch"]
+    assert total > 1, "workload has no launches to fault"
+    return FaultPlan.parse(f"kernel@{max(2, total // 2)}x99")
+
+
+@pytest.mark.parametrize("engine", sorted(ENGINES))
 class TestCheckpointResume:
     def test_exhausted_retries_leave_resumable_checkpoint(
-        self, graph, tmp_path
+        self, graph, tmp_path, engine
     ):
+        make = ENGINES[engine]
         kwargs = dict(max_iterations=8, stop_on_convergence=False)
-        reference = GLPEngine().run(graph, ClassicLP(), **kwargs)
+        reference = make(graph).run(graph, ClassicLP(), **kwargs)
 
         # A persistent kernel fault (repeat far past the retry budget)
         # kills the run mid-flight, like a pulled power cord.
-        with inject(FaultPlan.parse("kernel@12x99")):
+        with inject(kill_plan(make, graph, **kwargs)):
             with pytest.raises(KernelAbortFault):
-                GLPEngine().run(
+                make(graph).run(
                     graph, ClassicLP(),
                     retry_policy=RetryPolicy(max_retries=2),
                     checkpoint_dir=str(tmp_path),
@@ -154,25 +262,60 @@ class TestCheckpointResume:
                 )
         assert list(tmp_path.glob("*.ckpt")), "no checkpoint persisted"
 
-        resumed = GLPEngine().run(
+        resumed = make(graph).run(
             graph, ClassicLP(), resume_from=str(tmp_path), **kwargs
         )
         assert resumed.labels_hash() == reference.labels_hash()
 
-    def test_resume_skips_completed_iterations(self, graph, tmp_path):
+    def test_resume_skips_completed_iterations(
+        self, graph, tmp_path, engine
+    ):
+        make = ENGINES[engine]
         kwargs = dict(max_iterations=8, stop_on_convergence=False)
-        with inject(FaultPlan.parse("kernel@12x99")):
+        with inject(kill_plan(make, graph, **kwargs)):
             with pytest.raises(KernelAbortFault):
-                GLPEngine().run(
+                make(graph).run(
                     graph, ClassicLP(),
                     retry_policy=RetryPolicy(max_retries=0),
                     checkpoint_dir=str(tmp_path),
                     **kwargs,
                 )
-        resumed = GLPEngine().run(
+        resumed = make(graph).run(
             graph, ClassicLP(), resume_from=str(tmp_path), **kwargs
         )
         # The resumed run re-executes only from the checkpointed
         # iteration; its stats list is the tail, not all 8 rounds.
         assert resumed.num_iterations < 8
         assert resumed.iterations[0].iteration > 1
+
+
+class TestEngineName:
+    @pytest.mark.parametrize(
+        "make, name",
+        [
+            (lambda: GLPEngine(pass_kind="gsort"), "GLP"),
+            (lambda: GSortEngine(), "G-Sort"),
+        ],
+        ids=["glp-gsort-pass", "gsort-baseline"],
+    )
+    def test_one_engine_label_per_run(self, graph, make, name):
+        """Result, metrics and journal all name the engine the same way."""
+        with obs.observe() as session:
+            with inject(FaultPlan.parse("kernel@3")):
+                result = make().run(
+                    graph, ClassicLP(), max_iterations=4,
+                    retry_policy=RetryPolicy(),
+                )
+        assert result.engine == name
+        metric_names = {
+            series["labels"]["engine"]
+            for series in session.metrics.to_dict()["metrics"]
+            if "engine" in series["labels"]
+        }
+        journal_names = {
+            event["engine"]
+            for event in session.journal.events
+            if "engine" in event
+        }
+        assert metric_names == {name}
+        assert journal_names == {name}
