@@ -45,24 +45,27 @@ Commands
 deterministic fault plan (``kind@N[xR][/devD]``), ``--retries N``
 enables bounded checkpoint-based recovery, ``--checkpoint-dir`` persists
 the per-iteration checkpoint, and ``--resume PATH`` resumes a killed run
-from a checkpoint file or directory.
+from a checkpoint file or directory.  ``run --frontier
+{dense,frontier,auto}`` selects the GLP engine's frontier execution mode.
 
-``run`` and ``pipeline`` accept ``--trace-out`` (Chrome ``trace_event``
-JSON for Perfetto) and ``--metrics-out`` (metrics registry dump); ``run
---json`` emits the machine-readable result summary instead of the human
-report.  ``--mem-profile`` tracks per-device live bytes and watermarks
-by allocation category (``--mem-out`` writes the watermark report JSON;
-``repro obs memory --report PATH`` re-renders and gates on it).  ``run --sanitize`` executes every kernel under the dynamic
-race/sync sanitizer (see ``docs/analysis.md``) and exits non-zero on
-hazards; ``run --frontier {dense,frontier,auto}`` selects the GLP
-engine's frontier execution mode.
+``run``, ``pipeline`` and ``serve`` share one output scope: the obs flags
+(``--trace-out``, ``--metrics-out``, ``--journal-out``, ``--flight-dir``;
+``docs/observability.md``), ``--mem-profile`` (``--mem-out`` implies it),
+``run --sanitize`` (``--sanitize-out`` implies it; ``docs/analysis.md``)
+and ``--slo`` (``--slo-out`` requires it, else exit 2).  Artifacts are
+written after the run; an SLO breach or sanitizer hazard exits 1.  Under
+``--json`` stdout carries only the JSON document; every status line and
+report goes to stderr.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
+import os
 import sys
+import types
 from typing import List, Optional
 
 from repro import __version__
@@ -96,9 +99,8 @@ def _build_engine(name: str, frontier: str = "dense"):
     )
     from repro.core.framework import GLPEngine
 
-    if name == "glp":
-        return GLPEngine(frontier=frontier)
     factories = {
+        "glp": lambda: GLPEngine(frontier=frontier),
         "gsort": GSortEngine,
         "ghash": GHashEngine,
         "serial": SerialEngine,
@@ -135,157 +137,131 @@ def _load_graph(source: str):
     return load_edge_list(source, symmetrize=True)
 
 
-def _obs_session(args):
-    """Activate observability when any obs output flag is set."""
+@contextlib.contextmanager
+def _outputs(args):
+    """Scope the obs/memory/sanitizer hooks the flags ask for.
+
+    Yields a namespace with ``say`` (print a status line: stderr under
+    ``--json``, so stdout carries only the JSON document) and ``status``.
+    After a clean ``with`` body the hooks are gone, the artifacts are
+    written, and ``status`` is 1 on an SLO breach or sanitizer hazards.
+    A body that raises writes nothing.
+    """
     from repro import obs
+    from repro.obs.memory import render_memory_report, track
 
-    wanted = any(
-        getattr(args, flag, None)
-        for flag in (
-            "trace_out",
-            "metrics_out",
-            "journal_out",
-            "flight_dir",
-            "slo",
-            "slo_out",
-            "report_out",
-        )
+    slo = getattr(args, "slo", None)
+    report_out = getattr(args, "report_out", None)
+    sanitize_out = getattr(args, "sanitize_out", None)
+    sanitize = getattr(args, "sanitize", False) or sanitize_out
+    memory = args.mem_profile or args.mem_out
+    observed = memory or slo or report_out or any(
+        (args.trace_out, args.metrics_out, args.journal_out, args.flight_dir)
     )
-    if not wanted and not _memory_wanted(args):
-        return None
-    session = obs.enable()
-    if getattr(args, "flight_dir", None):
-        session.flight.dump_dir = args.flight_dir
-    return session
+    stream = sys.stderr if getattr(args, "json", False) else sys.stdout
 
+    def say(line: str) -> None:
+        print(line, file=stream, flush=True)
 
-def _memory_wanted(args) -> bool:
-    return bool(
-        getattr(args, "mem_profile", False) or getattr(args, "mem_out", None)
-    )
+    scope = types.SimpleNamespace(status=0, say=say)
+    with contextlib.ExitStack() as hooks:
+        session = hooks.enter_context(obs.observe()) if observed else None
+        tracker = hooks.enter_context(track()) if memory else None
+        sanitizer = None
+        if sanitize:
+            from repro import analysis
 
+            sanitizer = hooks.enter_context(analysis.sanitize())
+        if args.flight_dir:
+            session.flight.dump_dir = args.flight_dir
+        yield scope
 
-def _memory_tracker(args):
-    """Install the device-memory tracker when ``--mem-profile`` is set."""
-    if not _memory_wanted(args):
-        return None
-    from repro.gpusim import hooks
-    from repro.obs.memory import MemoryTracker
-
-    tracker = MemoryTracker()
-    hooks.set_memory(tracker)
-    return tracker
-
-
-def _uninstall_memory(tracker) -> None:
-    if tracker is None:
-        return
-    from repro.gpusim import hooks
-
-    if hooks.memory() is tracker:
-        hooks.set_memory(None)
-
-
-def _write_memory_outputs(args, tracker) -> None:
-    """Write ``--mem-out`` or print the watermark report."""
-    if tracker is None:
-        return
-    if getattr(args, "mem_out", None):
-        tracker.write(args.mem_out)
-        print(f"memory report  : {args.mem_out}", flush=True)
-    else:
-        from repro.obs.memory import render_memory_report
-
-        print(render_memory_report(tracker.report()), flush=True)
-
-
-def _write_obs_outputs(args, session) -> None:
-    if session is None:
-        return
     if args.trace_out:
         session.tracer.write(args.trace_out)
-        print(f"trace written  : {args.trace_out}", flush=True)
+        say(f"trace written  : {args.trace_out}")
     if args.metrics_out:
         if args.metrics_format == "prometheus":
             with open(args.metrics_out, "w") as fh:
                 fh.write(session.metrics.to_prometheus_text())
         else:
             session.metrics.write(args.metrics_out)
-        print(f"metrics written: {args.metrics_out}", flush=True)
-    if getattr(args, "journal_out", None):
+        say(f"metrics written: {args.metrics_out}")
+    if args.journal_out:
         session.journal.write(args.journal_out)
-        print(f"journal written: {args.journal_out}", flush=True)
-    if getattr(args, "flight_dir", None) and session.flight.bundles:
-        print(
+        say(f"journal written: {args.journal_out}")
+    if args.flight_dir and session.flight.bundles:
+        say(
             f"post-mortems   : {len(session.flight.bundles)} bundle(s) "
-            f"under {args.flight_dir}",
-            flush=True,
+            f"under {args.flight_dir}"
         )
-
-
-def _finish_serving_outputs(args, session, tracker=None) -> int:
-    """Evaluate SLOs and write the fused run report; exit 1 on breach."""
-    if session is None:
-        return 0
+    if args.mem_out:
+        tracker.write(args.mem_out)
+        say(f"memory report  : {args.mem_out}")
+    elif tracker is not None:
+        say(render_memory_report(tracker.report()))
     slo_report = None
-    if getattr(args, "slo", None):
+    if slo:
         from repro.obs.slo import evaluate_slos, load_slo_spec
 
-        slo_report = evaluate_slos(load_slo_spec(args.slo), session.metrics)
-        print(slo_report.to_text(), flush=True)
-        if getattr(args, "slo_out", None):
+        slo_report = evaluate_slos(load_slo_spec(slo), session.metrics)
+        say(slo_report.to_text())
+        if args.slo_out:
             slo_report.write(args.slo_out)
-            print(f"slo verdicts   : {args.slo_out}", flush=True)
-    if getattr(args, "report_out", None):
-        from repro.obs.report import build_report, render_markdown
+            say(f"slo verdicts   : {args.slo_out}")
+        if not slo_report.ok:
+            scope.status = 1
+    if report_out:
+        from repro.obs.report import build_report
 
-        journal_records = None
-        if session.journal is not None:
-            journal_records = [session.journal.meta()] + list(
-                session.journal.events
-            )
         report = build_report(
-            journal_records=journal_records,
-            metrics_doc=(
-                session.metrics.to_dict()
-                if session.metrics is not None
-                else None
-            ),
+            journal_records=[session.journal.meta(), *session.journal.events],
+            metrics_doc=session.metrics.to_dict(),
             slo_doc=slo_report.as_dict() if slo_report is not None else None,
-            postmortems=(
-                session.flight.bundles
-                if session.flight is not None
-                else None
-            ),
+            postmortems=session.flight.bundles,
             memory_doc=tracker.report() if tracker is not None else None,
         )
-        with open(args.report_out, "w") as fh:
-            if args.report_out.endswith(".json"):
-                json.dump(report, fh, indent=2, sort_keys=True, default=str)
-                fh.write("\n")
-            else:
-                fh.write(render_markdown(report))
-        print(f"run report     : {args.report_out}", flush=True)
-    if slo_report is not None and not slo_report.ok:
-        return 1
-    return 0
+        with open(report_out, "w") as fh:
+            fh.write(_render_report(report, report_out.endswith(".json")))
+        say(f"run report     : {report_out}")
+    if sanitizer is not None:
+        findings = sanitizer.report()
+        say(findings.to_text())
+        if sanitize_out:
+            findings.write(sanitize_out)
+            say(f"sanitizer report: {sanitize_out}")
+        if findings.has_hazards:
+            scope.status = 1
 
 
-def _finish_sanitize(args, sanitizer) -> int:
-    """Write/print the sanitizer report; non-zero exit on hazards."""
-    if sanitizer is None:
-        return 0
-    report = sanitizer.report()
-    if args.sanitize_out:
-        report.write(args.sanitize_out)
-    # In --json mode stdout carries the result document, so the human
-    # summary moves to stderr.
-    stream = sys.stderr if args.json else sys.stdout
-    print(report.to_text(), file=stream, flush=True)
-    if args.sanitize_out:
-        print(f"sanitizer report: {args.sanitize_out}",
-              file=stream, flush=True)
-    return 1 if report.has_hazards else 0
+def _render_report(report: dict, as_json: bool) -> str:
+    """A fused run report as JSON or markdown text."""
+    from repro.obs.report import render_markdown
+
+    if as_json:
+        return json.dumps(report, indent=2, sort_keys=True, default=str) + "\n"
+    return render_markdown(report)
+
+
+def _stream(args):
+    """The synthetic transaction stream of ``--days``/``--seed``."""
+    from repro.pipeline import TransactionStream, TransactionStreamConfig
+
+    return TransactionStream(
+        TransactionStreamConfig(num_days=args.days, seed=args.seed)
+    )
+
+
+def _window_days(args, slides: int) -> Optional[int]:
+    """The served window length, or ``None`` when ``--days`` is too short."""
+    window_days = min(args.window, args.days - 1)
+    if args.days < window_days + slides + 1:
+        print(
+            f"error: need at least {window_days + slides + 1} days for "
+            f"{slides} slide(s) over a {window_days}-day window",
+            file=sys.stderr,
+        )
+        return None
+    return window_days
 
 
 #: Engines that run on the simulated device (and accept the resilience
@@ -310,9 +286,6 @@ def _resilience_kwargs(args) -> dict:
 
 
 def _cmd_run(args) -> int:
-    import contextlib
-
-    from repro import analysis, obs
     from repro.errors import DeviceFault
 
     if args.frontier != "dense" and args.engine != "glp":
@@ -339,12 +312,8 @@ def _cmd_run(args) -> int:
     graph = _load_graph(args.graph)
     engine = _build_engine(args.engine, frontier=args.frontier)
     program = _build_program(args.algorithm, args)
-    session = _obs_session(args)
-    tracker = _memory_tracker(args)
-    sanitizer = analysis.enable_sanitizer() if args.sanitize else None
-    injector = None
     try:
-        with inject_cm as injector:
+        with _outputs(args) as out, inject_cm as injector:
             result = engine.run(
                 graph,
                 program,
@@ -352,6 +321,15 @@ def _cmd_run(args) -> int:
                 stop_on_convergence=not args.no_early_stop,
                 **resilience,
             )
+            if args.json:
+                print(result.to_json(indent=2))
+            else:
+                _print_run(graph, program, result)
+            if injector is not None and injector.events:
+                fired = ", ".join(
+                    f"{e.kind}@{e.stream}#{e.index}" for e in injector.events
+                )
+                out.say(f"faults injected: {fired} (recovered)")
     except DeviceFault as fault:
         print(
             f"repro run: device fault not recovered: {fault}\n"
@@ -360,26 +338,10 @@ def _cmd_run(args) -> int:
             file=sys.stderr,
         )
         return 1
-    finally:
-        obs.disable()
-        _uninstall_memory(tracker)
-        if sanitizer is not None:
-            analysis.disable_sanitizer()
-    fired = (
-        ", ".join(
-            f"{e.kind}@{e.stream}#{e.index}" for e in injector.events
-        )
-        if injector is not None and injector.events
-        else ""
-    )
-    if args.json:
-        print(result.to_json(indent=2))
-        if fired:
-            print(f"faults injected: {fired} (recovered)",
-                  file=sys.stderr, flush=True)
-        _write_obs_outputs(args, session)
-        _write_memory_outputs(args, tracker)
-        return _finish_sanitize(args, sanitizer)
+    return out.status
+
+
+def _print_run(graph, program, result) -> None:
     sizes = result.community_sizes()
     print(f"graph          : {graph.name} "
           f"(V={graph.num_vertices:,}, E={graph.num_edges:,})")
@@ -396,17 +358,9 @@ def _cmd_run(args) -> int:
         print(f"global traffic : {counters.global_transactions:,} "
               f"transactions; lane utilization "
               f"{counters.lane_utilization:.1%}")
-    if fired:
-        print(f"faults injected: {fired} (recovered)")
-    _write_obs_outputs(args, session)
-    _write_memory_outputs(args, tracker)
-    return _finish_sanitize(args, sanitizer)
 
 
 def _cmd_check(args) -> int:
-    import json as _json
-    import os
-
     from repro import analysis
 
     paths = list(args.paths)
@@ -433,7 +387,7 @@ def _cmd_check(args) -> int:
     if len(reports) == 1:
         payload = reports[0].to_json(indent=2)
     else:
-        payload = _json.dumps(
+        payload = json.dumps(
             {
                 "schema_version": analysis.SCHEMA_VERSION,
                 "reports": {r.source: r.as_dict() for r in reports},
@@ -467,8 +421,6 @@ def _cmd_check(args) -> int:
 
 
 def _cmd_chaos(args) -> int:
-    import json as _json
-
     from repro.core.framework import GLPEngine
     from repro.core.hybrid import HybridEngine
     from repro.core.multigpu import MultiGPUEngine
@@ -496,7 +448,7 @@ def _cmd_chaos(args) -> int:
     if args.json:
         doc = report.as_dict()
         doc["analysis"] = analysis.as_dict()
-        print(_json.dumps(doc, indent=2, sort_keys=True))
+        print(json.dumps(doc, indent=2, sort_keys=True))
         return 1 if analysis.has_hazards else 0
     print(f"graph          : {graph.name} "
           f"(V={graph.num_vertices:,}, E={graph.num_edges:,})")
@@ -516,9 +468,11 @@ def _cmd_chaos(args) -> int:
     return 1 if analysis.has_hazards else 0
 
 
-def _cmd_profile(args) -> int:
-    from repro.obs import ProfileReport
+def _engine_report(args, report_cls):
+    """Run the LP variant on ``--dataset``; ``report_cls`` of its engine.
 
+    Prints the run header first unless ``--json`` (``profile``/``advise``).
+    """
     graph = _load_graph(args.dataset)
     engine = _build_engine(args.engine)
     program = _build_program(args.algorithm, args)
@@ -528,51 +482,35 @@ def _cmd_profile(args) -> int:
         max_iterations=args.iterations,
         stop_on_convergence=not args.no_early_stop,
     )
-    report = ProfileReport.from_engine(engine)
+    if not args.json:
+        print(f"graph          : {graph.name} "
+              f"(V={graph.num_vertices:,}, E={graph.num_edges:,})")
+        print(f"engine         : {result.engine}   algorithm: "
+              f"{program.name}   iterations: {result.num_iterations}")
+        print(f"modeled time   : {result.total_seconds * 1e3:.4f} ms")
+        print()
+    return report_cls.from_engine(engine)
+
+
+def _cmd_profile(args) -> int:
+    from repro.obs import ProfileReport
+
+    report = _engine_report(args, ProfileReport)
     if args.json:
         print(report.to_json(sort_by=args.sort_by, indent=2))
-        return 0
-    print(f"graph          : {graph.name} "
-          f"(V={graph.num_vertices:,}, E={graph.num_edges:,})")
-    print(f"engine         : {result.engine}   algorithm: {program.name}   "
-          f"iterations: {result.num_iterations}")
-    print(f"modeled time   : {result.total_seconds * 1e3:.4f} ms")
-    print()
-    print(report.to_text(sort_by=args.sort_by))
-    return 0
-
-
-def _cmd_datasets(args) -> int:
-    from repro.bench.experiments import run_table2
-
-    text, _ = run_table2()
-    print(text)
+    else:
+        print(report.to_text(sort_by=args.sort_by))
     return 0
 
 
 def _cmd_advise(args) -> int:
     from repro.obs import AdvisorReport
 
-    graph = _load_graph(args.dataset)
-    engine = _build_engine(args.engine)
-    program = _build_program(args.algorithm, args)
-    result = engine.run(
-        graph,
-        program,
-        max_iterations=args.iterations,
-        stop_on_convergence=not args.no_early_stop,
-    )
-    report = AdvisorReport.from_engine(engine)
+    report = _engine_report(args, AdvisorReport)
     if args.json:
         print(report.to_json(indent=2))
-        return 0
-    print(f"graph          : {graph.name} "
-          f"(V={graph.num_vertices:,}, E={graph.num_edges:,})")
-    print(f"engine         : {result.engine}   algorithm: {program.name}   "
-          f"iterations: {result.num_iterations}")
-    print(f"modeled time   : {result.total_seconds * 1e3:.4f} ms")
-    print()
-    print(report.to_text(top=args.top))
+    else:
+        print(report.to_text(top=args.top))
     return 0
 
 
@@ -605,16 +543,11 @@ def _cmd_bench_run(args) -> int:
                     flush=True,
                 )
     if args.json:
-        import json as _json
-
-        print(_json.dumps(payloads, indent=2, sort_keys=True))
+        print(json.dumps(payloads, indent=2, sort_keys=True))
     return 0
 
 
 def _cmd_bench_compare(args) -> int:
-    import json as _json
-    import os
-
     from repro.bench.baseline import (
         compare_against_baselines,
         load_baseline,
@@ -642,7 +575,7 @@ def _cmd_bench_compare(args) -> int:
     )
     failed = {n: v for n, v in outcome.items() if v}
     if args.json:
-        print(_json.dumps(
+        print(json.dumps(
             {
                 "passed": sorted(n for n in outcome if n not in failed),
                 "failed": {n: v for n, v in sorted(failed.items())},
@@ -706,87 +639,52 @@ def _cmd_bench(args) -> int:
 
 
 def _cmd_pipeline(args) -> int:
-    from repro import obs
-    from repro.baselines import InHouseDistributedEngine
-    from repro.core.framework import GLPEngine
-    from repro.pipeline import (
-        ClusterDetector,
-        FraudDetectionPipeline,
-        TransactionStream,
-        TransactionStreamConfig,
-    )
+    from repro.pipeline import ClusterDetector, FraudDetectionPipeline
 
-    if args.incremental or args.slides:
-        return _cmd_pipeline_sliding(args)
-
-    stream = TransactionStream(
-        TransactionStreamConfig(num_days=args.days, seed=args.seed)
-    )
-    engine = (
-        GLPEngine() if args.engine == "glp" else InHouseDistributedEngine()
-    )
-    detector = ClusterDetector(engine, max_iterations=20, max_hops=6)
-    pipeline = FraudDetectionPipeline(stream, detector)
-    session = _obs_session(args)
-    tracker = _memory_tracker(args)
-    try:
-        report = pipeline.run_window(min(args.window, args.days))
-    finally:
-        obs.disable()
-        _uninstall_memory(tracker)
-    print(f"window         : {report.window_days} days "
-          f"(V={report.num_vertices:,}, E={report.num_edges:,})")
-    print(f"stage times    : build={report.construction_seconds * 1e3:.2f} ms"
-          f"  LP={report.lp_seconds * 1e3:.2f} ms"
-          f"  downstream={report.downstream_seconds * 1e3:.2f} ms")
-    print(f"LP share       : {report.lp_fraction:.0%}")
-    print(f"fraud clusters : {report.num_fraud_clusters} "
-          f"of {report.num_clusters} detected")
-    print(f"quality        : precision={report.metrics.precision:.2f} "
-          f"recall={report.metrics.recall:.2f} f1={report.metrics.f1:.2f}")
-    _write_obs_outputs(args, session)
-    _write_memory_outputs(args, tracker)
-    return _finish_serving_outputs(args, session, tracker)
-
-
-def _cmd_pipeline_sliding(args) -> int:
-    """The sliding-window serving loop (``pipeline --slides/--incremental``)."""
-    from repro import obs
-    from repro.core.framework import GLPEngine
-    from repro.pipeline import (
-        ClusterDetector,
-        SlidingWindowDetector,
-        TransactionStream,
-        TransactionStreamConfig,
-    )
-
-    if args.engine != "glp":
+    sliding = bool(args.incremental or args.slides)
+    if sliding and args.engine != "glp":
         print(
             "error: --incremental/--slides serve through the GLP frontier "
             "engine",
             file=sys.stderr,
         )
         return 2
-    window_days = min(args.window, args.days - 1)
+    detector = ClusterDetector(
+        _build_engine(args.engine, "auto" if sliding else "dense"),
+        max_iterations=20, max_hops=6,
+    )
+    if sliding:
+        return _cmd_pipeline_sliding(args, detector)
+    pipeline = FraudDetectionPipeline(_stream(args), detector)
+    with _outputs(args) as out:
+        report = pipeline.run_window(min(args.window, args.days))
+        print(f"window         : {report.window_days} days "
+              f"(V={report.num_vertices:,}, E={report.num_edges:,})")
+        print(f"stage times    : "
+              f"build={report.construction_seconds * 1e3:.2f} ms"
+              f"  LP={report.lp_seconds * 1e3:.2f} ms"
+              f"  downstream={report.downstream_seconds * 1e3:.2f} ms")
+        print(f"LP share       : {report.lp_fraction:.0%}")
+        print(f"fraud clusters : {report.num_fraud_clusters} "
+              f"of {report.num_clusters} detected")
+        print(f"quality        : precision={report.metrics.precision:.2f} "
+              f"recall={report.metrics.recall:.2f} "
+              f"f1={report.metrics.f1:.2f}")
+    return out.status
+
+
+def _cmd_pipeline_sliding(args, detector) -> int:
+    """The sliding-window serving loop (``pipeline --slides/--incremental``)."""
+    from repro.pipeline import SlidingWindowDetector
+
     slides = args.slides or 1
-    if args.days < window_days + slides + 1:
-        print(
-            f"error: need at least {window_days + slides + 1} days for "
-            f"{slides} slide(s) over a {window_days}-day window",
-            file=sys.stderr,
-        )
+    window_days = _window_days(args, slides)
+    if window_days is None:
         return 2
-    stream = TransactionStream(
-        TransactionStreamConfig(num_days=args.days, seed=args.seed)
-    )
-    engine = GLPEngine(frontier="auto")
-    detector = ClusterDetector(engine, max_iterations=20, max_hops=6)
     sliding = SlidingWindowDetector(
-        stream, detector, incremental=args.incremental
+        _stream(args), detector, incremental=args.incremental
     )
-    session = _obs_session(args)
-    tracker = _memory_tracker(args)
-    try:
+    with _outputs(args) as out:
         window, detection = sliding.start(0, window_days)
         lp = detection.lp_result
         print(
@@ -811,34 +709,20 @@ def _cmd_pipeline_sliding(args) -> int:
                 f"clusters={len(detection.clusters)}  "
                 f"modeled={lp.total_seconds * 1e3:.3f} ms"
             )
-    finally:
-        obs.disable()
-        _uninstall_memory(tracker)
-    _write_obs_outputs(args, session)
-    _write_memory_outputs(args, tracker)
-    return _finish_serving_outputs(args, session, tracker)
+    return out.status
 
 
 def _cmd_serve(args) -> int:
     """The streaming scoring service under deterministic bursty load."""
     import asyncio
 
-    from repro import obs
     from repro.errors import ServingError
-    from repro.pipeline import TransactionStream, TransactionStreamConfig
     from repro.serving import LoadGenConfig, LoadGenerator, ScoringService
 
-    window_days = min(args.window, args.days - 1)
-    if args.days < window_days + args.slides + 1:
-        print(
-            f"error: need at least {window_days + args.slides + 1} days "
-            f"for {args.slides} slide(s) over a {window_days}-day window",
-            file=sys.stderr,
-        )
+    window_days = _window_days(args, args.slides)
+    if window_days is None:
         return 2
-    stream = TransactionStream(
-        TransactionStreamConfig(num_days=args.days, seed=args.seed)
-    )
+    stream = _stream(args)
     try:
         generator = LoadGenerator(
             stream,
@@ -862,20 +746,12 @@ def _cmd_serve(args) -> int:
     except ServingError as error:
         print(f"error: {error}", file=sys.stderr)
         return 2
-    session = _obs_session(args)
-    tracker = _memory_tracker(args)
-    try:
+    with _outputs(args) as out:
         report = asyncio.run(service.serve(events, pace=args.pace))
-    finally:
-        obs.disable()
-        _uninstall_memory(tracker)
-    if args.json:
-        print(json.dumps(report.as_dict(), indent=2, sort_keys=True))
-    else:
-        print(report.to_text())
-    _write_obs_outputs(args, session)
-    _write_memory_outputs(args, tracker)
-    status = _finish_serving_outputs(args, session, tracker)
+        if args.json:
+            print(json.dumps(report.as_dict(), indent=2, sort_keys=True))
+        else:
+            print(report.to_text())
     if report.probe_mismatches:
         print(
             f"repro serve: {report.probe_mismatches} identity probe(s) "
@@ -883,7 +759,7 @@ def _cmd_serve(args) -> int:
             file=sys.stderr,
         )
         return 1
-    return status
+    return out.status
 
 
 def _load_json(path: Optional[str]):
@@ -901,7 +777,7 @@ def _cmd_obs_report(args) -> int:
     crashed serving run should still yield a (partial) report.
     """
     from repro.obs.journal import read_journal
-    from repro.obs.report import build_report, render_markdown
+    from repro.obs.report import build_report
     from repro.obs.slo import evaluate_slos, load_slo_spec
 
     not_collected = []
@@ -949,11 +825,7 @@ def _cmd_obs_report(args) -> int:
         postmortems=postmortems,
         not_collected=not_collected,
     )
-    if args.format == "json":
-        rendered = json.dumps(report, indent=2, sort_keys=True, default=str)
-        rendered += "\n"
-    else:
-        rendered = render_markdown(report)
+    rendered = _render_report(report, args.format == "json")
     if args.out:
         with open(args.out, "w") as fh:
             fh.write(rendered)
@@ -1007,15 +879,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="Table 2 dataset name (e.g. 'twitter') or edge-list file path",
     )
     run.add_argument("--engine", choices=ENGINES, default="glp")
-    run.add_argument("--algorithm", choices=ALGORITHMS, default="classic")
-    run.add_argument("--iterations", type=int, default=20)
-    run.add_argument("--gamma", type=float, default=1.0,
-                     help="LLP density parameter")
-    run.add_argument("--seed", type=int, default=0)
-    run.add_argument(
-        "--no-early-stop", action="store_true",
-        help="always run the full iteration budget",
-    )
+    _add_lp_flags(run)
     run.add_argument(
         "--frontier", choices=list(FRONTIER_MODES), default="dense",
         help="frontier execution mode of the GLP engine "
@@ -1028,7 +892,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     run.add_argument(
         "--sanitize-out", metavar="PATH",
-        help="write the sanitizer report JSON here",
+        help="write the sanitizer report JSON here (implies --sanitize)",
     )
     run.add_argument(
         "--inject", metavar="PLAN",
@@ -1105,24 +969,20 @@ def build_parser() -> argparse.ArgumentParser:
         help="engine under test; 'auto' drives run_auto and exercises "
         "the GPU->hybrid->CPU degradation ladder",
     )
-    chaos.add_argument("--algorithm", choices=ALGORITHMS, default="classic")
+    _add_lp_flags(chaos, early_stop=False)
     chaos.add_argument("--plans", type=int, default=5, metavar="N",
                        help="number of seeded random fault plans")
-    chaos.add_argument("--seed", type=int, default=0)
     chaos.add_argument("--faults-per-plan", type=int, default=1, metavar="N")
-    chaos.add_argument("--iterations", type=int, default=10)
-    chaos.add_argument("--gamma", type=float, default=1.0,
-                       help="LLP density parameter")
     chaos.add_argument(
         "--out", metavar="PATH",
         help="write the chaos analysis report JSON here",
     )
     chaos.add_argument("--json", action="store_true",
                        help="emit the full sweep as JSON")
-    chaos.set_defaults(func=_cmd_chaos)
+    chaos.set_defaults(func=_cmd_chaos, iterations=10)
 
     datasets = sub.add_parser("datasets", help="list the dataset registry")
-    datasets.set_defaults(func=_cmd_datasets)
+    datasets.set_defaults(func=_cmd_bench, experiment="table2")
 
     bench = sub.add_parser(
         "bench",
@@ -1191,20 +1051,7 @@ def build_parser() -> argparse.ArgumentParser:
     pipeline.add_argument("--engine", choices=["glp", "distributed"],
                           default="glp")
     pipeline.add_argument("--seed", type=int, default=0)
-    _add_obs_flags(pipeline)
-    pipeline.add_argument(
-        "--slo", metavar="SPEC.toml",
-        help="evaluate a TOML SLO spec against the run's metrics "
-        "(exit 1 on breach); see benchmarks/serving_slo.toml",
-    )
-    pipeline.add_argument(
-        "--slo-out", metavar="PATH",
-        help="write SLO verdicts as an analysis report (source \"slo\")",
-    )
-    pipeline.add_argument(
-        "--report-out", metavar="PATH",
-        help="write the fused run report (.json for JSON, else markdown)",
-    )
+    _add_obs_flags(pipeline, slo=True)
     pipeline.set_defaults(func=_cmd_pipeline)
 
     serve = sub.add_parser(
@@ -1255,20 +1102,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="disable DynLP incremental planning (full warm recompute "
         "per slide)",
     )
-    _add_obs_flags(serve)
-    serve.add_argument(
-        "--slo", metavar="SPEC.toml",
-        help="evaluate a TOML SLO spec against the run's metrics "
-        "(exit 1 on breach); see benchmarks/serving_slo.toml",
-    )
-    serve.add_argument(
-        "--slo-out", metavar="PATH",
-        help="write SLO verdicts as an analysis report (source \"slo\")",
-    )
-    serve.add_argument(
-        "--report-out", metavar="PATH",
-        help="write the fused run report (.json for JSON, else markdown)",
-    )
+    _add_obs_flags(serve, slo=True)
     serve.add_argument(
         "--json", action="store_true",
         help="emit the serve report as JSON instead of text",
@@ -1326,66 +1160,64 @@ def build_parser() -> argparse.ArgumentParser:
     )
     memory.set_defaults(func=_cmd_obs_memory)
 
-    profile = sub.add_parser(
-        "profile",
+    profile = _add_engine_report_parser(
+        sub, "profile", _cmd_profile,
         help="run an LP variant and print the nvprof-style kernel table",
-    )
-    profile.add_argument(
-        "--dataset", default="dblp",
-        help="Table 2 dataset name or edge-list file path",
-    )
-    profile.add_argument("--engine",
-                         choices=["glp", "gsort", "ghash"], default="glp")
-    profile.add_argument("--algorithm", choices=ALGORITHMS,
-                         default="classic")
-    profile.add_argument("--iterations", type=int, default=20)
-    profile.add_argument("--gamma", type=float, default=1.0,
-                         help="LLP density parameter")
-    profile.add_argument("--seed", type=int, default=0)
-    profile.add_argument(
-        "--no-early-stop", action="store_true",
-        help="always run the full iteration budget",
     )
     profile.add_argument(
         "--sort-by", choices=sorted(PROFILE_SORT_KEYS), default="time",
         help="kernel table sort column",
     )
-    profile.add_argument("--json", action="store_true",
-                         help="emit the report as JSON")
-    profile.set_defaults(func=_cmd_profile)
 
-    advise = sub.add_parser(
-        "advise",
+    advise = _add_engine_report_parser(
+        sub, "advise", _cmd_advise,
         help="run an LP variant and print ranked roofline bottleneck "
         "findings",
-    )
-    advise.add_argument(
-        "--dataset", default="dblp",
-        help="Table 2 dataset name or edge-list file path",
-    )
-    advise.add_argument("--engine",
-                        choices=["glp", "gsort", "ghash"], default="glp")
-    advise.add_argument("--algorithm", choices=ALGORITHMS,
-                        default="classic")
-    advise.add_argument("--iterations", type=int, default=20)
-    advise.add_argument("--gamma", type=float, default=1.0,
-                        help="LLP density parameter")
-    advise.add_argument("--seed", type=int, default=0)
-    advise.add_argument(
-        "--no-early-stop", action="store_true",
-        help="always run the full iteration budget",
     )
     advise.add_argument(
         "--top", type=int, default=None, metavar="N",
         help="print only the N most severe findings",
     )
-    advise.add_argument("--json", action="store_true",
-                        help="emit the report as JSON")
-    advise.set_defaults(func=_cmd_advise)
     return parser
 
 
-def _add_obs_flags(parser: argparse.ArgumentParser) -> None:
+def _add_engine_report_parser(sub, name: str, func, *, help: str):
+    """A ``profile``/``advise`` subcommand: one LP run on ``--dataset``."""
+    parser = sub.add_parser(name, help=help)
+    parser.add_argument(
+        "--dataset", default="dblp",
+        help="Table 2 dataset name or edge-list file path",
+    )
+    parser.add_argument(
+        "--engine", choices=list(_DEVICE_ENGINES), default="glp"
+    )
+    _add_lp_flags(parser)
+    parser.add_argument("--json", action="store_true",
+                        help="emit the report as JSON")
+    parser.set_defaults(func=func)
+    return parser
+
+
+def _add_lp_flags(
+    parser: argparse.ArgumentParser, *, early_stop: bool = True
+) -> None:
+    """The LP-variant flags of ``run``, ``profile``, ``advise``, ``chaos``."""
+    parser.add_argument("--algorithm", choices=ALGORITHMS, default="classic")
+    parser.add_argument("--iterations", type=int, default=20)
+    parser.add_argument("--gamma", type=float, default=1.0,
+                        help="LLP density parameter")
+    parser.add_argument("--seed", type=int, default=0)
+    if early_stop:
+        parser.add_argument(
+            "--no-early-stop", action="store_true",
+            help="always run the full iteration budget",
+        )
+
+
+def _add_obs_flags(
+    parser: argparse.ArgumentParser, *, slo: bool = False
+) -> None:
+    """The output-scope flags; ``slo`` adds the serving SLO/report group."""
     parser.add_argument(
         "--trace-out", metavar="PATH",
         help="write a Chrome trace_event JSON timeline (open in Perfetto)",
@@ -1416,11 +1248,29 @@ def _add_obs_flags(parser: argparse.ArgumentParser) -> None:
         help="write the device-memory watermark report JSON here "
         "(implies --mem-profile)",
     )
+    if not slo:
+        return
+    parser.add_argument(
+        "--slo", metavar="SPEC.toml",
+        help="evaluate a TOML SLO spec against the run's metrics "
+        "(exit 1 on breach); see benchmarks/serving_slo.toml",
+    )
+    parser.add_argument(
+        "--slo-out", metavar="PATH",
+        help="write SLO verdicts as an analysis report (source \"slo\"; "
+        "requires --slo)",
+    )
+    parser.add_argument(
+        "--report-out", metavar="PATH",
+        help="write the fused run report (.json for JSON, else markdown)",
+    )
 
 
 def main(argv: Optional[List[str]] = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
+    if getattr(args, "slo_out", None) and not args.slo:
+        print("error: --slo-out needs --slo", file=sys.stderr)
+        return 2
     return args.func(args)
 
 

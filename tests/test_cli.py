@@ -1,6 +1,8 @@
 """Tests for the command-line interface."""
 
+import argparse
 import json
+import pathlib
 
 import numpy as np
 import pytest
@@ -476,3 +478,99 @@ class TestServingObservability:
             "obs", "report", "--slo", "benchmarks/serving_slo.toml",
         ])
         assert code == 2
+
+
+PARSER_GOLDEN = (
+    pathlib.Path(__file__).parent / "fixtures" / "cli_parser.json"
+)
+
+
+def parser_snapshot():
+    """``(dest, default, choices, nargs, required)`` of every action.
+
+    Keyed by subcommand path (``"repro"``, ``"repro run"``,
+    ``"repro obs report"``, ...); rows are sorted so declaration order
+    does not matter.
+    """
+
+    def rows(parser):
+        out = []
+        for action in parser._actions:
+            choices = action.choices
+            if choices is not None:
+                choices = sorted(choices) if isinstance(choices, dict) else (
+                    list(choices)
+                )
+            out.append([action.dest, action.default, choices,
+                        action.nargs, action.required])
+        return sorted(out, key=json.dumps)
+
+    def walk(parser, path):
+        snap = {path: rows(parser)}
+        for action in parser._actions:
+            if isinstance(action, argparse._SubParsersAction):
+                for name, child in action.choices.items():
+                    snap.update(walk(child, f"{path} {name}"))
+        return snap
+
+    return walk(build_parser(), "repro")
+
+
+class TestParserGolden:
+    def test_every_flag_matches_the_golden(self):
+        assert parser_snapshot() == json.loads(PARSER_GOLDEN.read_text())
+
+
+SERVE = ["serve", "--days", "12", "--window", "8", "--slides", "2",
+         "--qps", "50"]
+
+
+class TestOutputScope:
+    """Shared ``run``/``pipeline``/``serve`` output rules."""
+
+    def test_run_json_stdout_is_one_document(self, tmp_path, capsys):
+        trace = tmp_path / "trace.json"
+        code = main([
+            "run", "dblp", "--iterations", "2", "--json",
+            "--trace-out", str(trace), "--mem-profile",
+        ])
+        captured = capsys.readouterr()
+        assert code == 0
+        assert json.loads(captured.out)["iterations"] == 2
+        assert "trace written" in captured.err
+        assert "device-memory watermark report" in captured.err
+        assert json.loads(trace.read_text())["traceEvents"]
+
+    def test_serve_json_stdout_is_one_document(self, capsys):
+        code = main([*SERVE, "--json", "--slo", "benchmarks/serving_slo.toml"])
+        captured = capsys.readouterr()
+        assert code == 0
+        assert "final_labels_hash" in json.loads(captured.out)
+        assert "0 breached" in captured.err
+
+    def test_serve_probe_identity(self, capsys):
+        code = main([*SERVE, "--probe-identity", "1"])
+        assert code == 0
+        assert "diverged" not in capsys.readouterr().err
+
+    def test_sanitize_out_implies_sanitize(self, tmp_path, capsys):
+        path = tmp_path / "san.json"
+        code = main([
+            "run", "dblp", "--iterations", "2", "--sanitize-out", str(path),
+        ])
+        assert code == 0
+        assert "sanitizer report" in capsys.readouterr().out
+        doc = json.loads(path.read_text())
+        assert doc["source"] == "sanitizer"
+        assert doc["checked"] > 0
+
+    @pytest.mark.parametrize("command", [
+        ["pipeline", "--days", "8", "--window", "4"],
+        SERVE,
+    ])
+    def test_slo_out_requires_slo(self, tmp_path, capsys, command):
+        path = tmp_path / "slo.json"
+        code = main([*command, "--slo-out", str(path)])
+        assert code == 2
+        assert "--slo-out needs --slo" in capsys.readouterr().err
+        assert not path.exists()
