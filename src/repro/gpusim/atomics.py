@@ -21,7 +21,11 @@ import numpy as np
 from repro.gpusim import hooks
 from repro.gpusim.config import DeviceSpec
 from repro.gpusim.counters import PerfCounters
-from repro.gpusim.memory import count_sector_transactions, default_warp_ids
+from repro.gpusim.memory import (
+    count_sector_transactions,
+    default_warp_ids,
+    pair_order,
+)
 
 
 def serialization_cost(
@@ -40,7 +44,7 @@ def serialization_cost(
     total = int(addresses.size)
     if total == 0:
         return 0, 0
-    order = np.lexsort((addresses, warp_ids))
+    order = pair_order(warp_ids, addresses)
     a = addresses[order]
     w = warp_ids[order]
     boundaries = np.flatnonzero(

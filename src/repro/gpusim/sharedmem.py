@@ -21,7 +21,7 @@ from repro.errors import SharedMemoryError
 from repro.gpusim import hooks
 from repro.gpusim.config import DeviceSpec
 from repro.gpusim.counters import PerfCounters
-from repro.gpusim.memory import default_warp_ids
+from repro.gpusim.memory import default_warp_ids, pair_order
 
 
 def bank_conflict_replays(
@@ -41,7 +41,7 @@ def bank_conflict_replays(
     word_addresses = word_addresses.astype(np.int64)
     warp_ids = warp_ids.astype(np.int64)
     # Distinct (warp, address) pairs: duplicates broadcast for free.
-    order = np.lexsort((word_addresses, warp_ids))
+    order = pair_order(warp_ids, word_addresses)
     a = word_addresses[order]
     w = warp_ids[order]
     keep = np.concatenate(([True], (a[1:] != a[:-1]) | (w[1:] != w[:-1])))
@@ -49,7 +49,7 @@ def bank_conflict_replays(
     u_warps = w[keep]
     banks = u_addresses % num_banks
     # Count distinct addresses per (warp, bank), then take max per warp.
-    order2 = np.lexsort((banks, u_warps))
+    order2 = pair_order(u_warps, banks)
     b = banks[order2]
     w2 = u_warps[order2]
     boundaries = np.flatnonzero(

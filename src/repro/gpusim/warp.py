@@ -88,43 +88,53 @@ def match_any_sync(active: np.ndarray, values: np.ndarray) -> np.ndarray:
     if values.shape != active.shape:
         raise KernelError("values shape must match active shape")
     _notify_sync("match_any_sync", active)
-    warp_size = active.shape[1]
-    # eq[w, i, j] = lanes i and j of warp w are both active and hold equal
-    # values.  warp_size is <= 32 so the (W, 32, 32) temporary is cheap.
-    eq = values[:, :, None] == values[:, None, :]
-    eq &= active[:, :, None]
-    eq &= active[:, None, :]
-    bits = _LANE_BITS[:warp_size]
-    masks = (eq * bits[None, None, :]).sum(axis=2, dtype=np.uint64)
-    masks[~active] = 0
+    masks = np.zeros(active.shape, dtype=np.uint64)
+    warp_of, lane_of = np.nonzero(active)
+    if warp_of.size == 0:
+        return masks
+    # Group-by over the active lanes: a stable sort by value, then by warp,
+    # makes every run of equal (warp, value) contiguous; OR-ing a run's
+    # lane bits gives the mask each of its lanes receives.  Two stable
+    # single-key sorts equal np.lexsort for values of any dtype.
+    lane_values = values[warp_of, lane_of]
+    order = np.argsort(lane_values, kind="stable")
+    order = order[np.argsort(warp_of[order], kind="stable")]
+    warp_of, lane_of = warp_of[order], lane_of[order]
+    lane_values = lane_values[order]
+    new_run = np.concatenate(([True], warp_of[1:] != warp_of[:-1]))
+    new_run[1:] |= lane_values[1:] != lane_values[:-1]
+    run_masks = np.bitwise_or.reduceat(
+        _LANE_BITS[lane_of], np.flatnonzero(new_run)
+    )
+    masks[warp_of, lane_of] = run_masks[np.cumsum(new_run) - 1]
     return masks
 
 
+_M1 = np.uint64(0x5555555555555555)
+_M2 = np.uint64(0x3333333333333333)
+_M4 = np.uint64(0x0F0F0F0F0F0F0F0F)
+_H01 = np.uint64(0x0101010101010101)
+
+
 def popc(masks: np.ndarray) -> np.ndarray:
-    """``__popc``: number of set bits per entry (vectorized popcount)."""
-    masks = np.asarray(masks, dtype=np.uint64)
-    counts = np.zeros(masks.shape, dtype=np.int64)
-    work = masks.copy()
-    while work.any():
-        counts += (work & np.uint64(1)).astype(np.int64)
-        work >>= np.uint64(1)
-    return counts
+    """``__popc``: number of set bits per entry (SWAR popcount)."""
+    # At least 1-d, so the intended uint64 wrap-around stays an array op
+    # (numpy warns on scalar integer overflow).
+    x = np.array(masks, dtype=np.uint64, ndmin=1)
+    x = x - ((x >> np.uint64(1)) & _M1)
+    x = (x & _M2) + ((x >> np.uint64(2)) & _M2)
+    x = (x + (x >> np.uint64(4))) & _M4
+    counts = ((x * _H01) >> np.uint64(56)).astype(np.int64)
+    return counts.reshape(np.shape(masks))
 
 
 def ffs(masks: np.ndarray) -> np.ndarray:
     """``__ffs``: 1-based index of the least-significant set bit (0 if none)."""
-    masks = np.asarray(masks, dtype=np.uint64)
-    isolated = masks & (~masks + np.uint64(1))
-    result = np.zeros(masks.shape, dtype=np.int64)
-    work = isolated.copy()
-    position = np.zeros(masks.shape, dtype=np.int64)
-    while work.any():
-        nonzero = work != 0
-        position[nonzero] += 1
-        hit = (work & np.uint64(1)) != 0
-        result[hit] = position[hit]
-        work >>= np.uint64(1)
-    return result
+    x = np.array(masks, dtype=np.uint64, ndmin=1)
+    lowest = x & (~x + np.uint64(1))
+    # Bits below the lowest set bit, plus one; zero masks stay 0.
+    index = np.where(x != 0, popc(lowest - np.uint64(1)) + 1, 0)
+    return index.reshape(np.shape(masks))
 
 
 def lane_masks_lt(warp_size: int = 32) -> np.ndarray:

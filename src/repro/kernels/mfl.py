@@ -18,6 +18,7 @@ import numpy as np
 
 from repro.core.api import LPProgram
 from repro.graph.csr import CSRGraph
+from repro.gpusim.memory import pair_order
 from repro.types import LABEL_DTYPE, VERTEX_DTYPE, WEIGHT_DTYPE
 
 #: Score assigned to vertices with no incoming edges ("keep your label").
@@ -155,7 +156,7 @@ def aggregate_label_frequencies(
             edge_order=np.empty(0, dtype=VERTEX_DTYPE),
             group_of_edge=np.empty(0, dtype=VERTEX_DTYPE),
         )
-    order = np.lexsort((labels, batch.vertex_ids))
+    order = pair_order(batch.vertex_ids, labels)
     sorted_vertices = batch.vertex_ids[order]
     sorted_labels = labels[order]
     sorted_freqs = freqs[order]
@@ -199,16 +200,18 @@ def select_best_labels(
         program.score(groups.vertex_ids, groups.labels, groups.frequencies),
         dtype=WEIGHT_DTYPE,
     )
-    # Sort by (vertex, -score, label): the first row of each vertex block is
-    # its winner with deterministic smallest-label tie-breaking.
-    order = np.lexsort((groups.labels, -scores, groups.vertex_ids))
-    ordered_vertices = groups.vertex_ids[order]
-    first = np.concatenate(
-        ([True], ordered_vertices[1:] != ordered_vertices[:-1])
-    )
-    win_vertices = ordered_vertices[first]
-    win_labels = groups.labels[order][first]
-    win_scores = scores[order][first]
+    # Groups are sorted by (vertex, label), so each vertex's winner is its
+    # first group reaching the vertex's best score: ties go to the smallest
+    # label.  NaN scores never win (fmax skips them) unless all of a
+    # vertex's scores are NaN, when its first (smallest) label does.
+    win_vertices, run_lengths = groups.distinct_counts()
+    starts = np.cumsum(run_lengths) - run_lengths
+    best = np.repeat(np.fmax.reduceat(scores, starts), run_lengths)
+    hits = (scores == best) | np.isnan(best)
+    position = np.where(hits, np.arange(scores.size), scores.size)
+    winners = np.minimum.reduceat(position, starts)
+    win_labels = groups.labels[winners]
+    win_scores = scores[winners]
 
     # Scatter winners into the `vertices` alignment.  All call sites pass
     # sorted unique vertex subsets, so searchsorted is an exact inverse.

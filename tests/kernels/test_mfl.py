@@ -130,6 +130,76 @@ class TestSelectBest:
         assert best_labels[0] == 6
         assert best_scores[0] == mfl.NO_SCORE
 
+    @staticmethod
+    def lexsort_selection(groups, vertices, current_labels):
+        """The former definition: sort by (vertex, -score, label)."""
+        best_labels = current_labels[vertices].copy()
+        best_scores = np.full(vertices.size, mfl.NO_SCORE)
+        scores = groups.frequencies  # ClassicLP scores are frequencies
+        order = np.lexsort((groups.labels, -scores, groups.vertex_ids))
+        ordered = groups.vertex_ids[order]
+        first = np.concatenate(([True], ordered[1:] != ordered[:-1]))
+        idx = np.searchsorted(vertices, ordered[first])
+        best_labels[idx] = groups.labels[order][first]
+        best_scores[idx] = scores[order][first]
+        return best_labels, best_scores
+
+    @staticmethod
+    def groups_of(rows):
+        """LabelGroups from ``(vertex, label, score)`` rows."""
+        rows = sorted(rows, key=lambda row: (row[0], row[1]))
+        return mfl.LabelGroups(
+            vertex_ids=np.array([r[0] for r in rows], dtype=np.int64),
+            labels=np.array([r[1] for r in rows], dtype=LABEL_DTYPE),
+            frequencies=np.array([r[2] for r in rows], dtype=np.float64),
+            edge_order=np.empty(0, dtype=np.int64),
+            group_of_edge=np.empty(0, dtype=np.int64),
+        )
+
+    @pytest.mark.parametrize(
+        "rows",
+        [
+            # Tied scores: the smallest label wins.
+            [(0, 9, 2.0), (0, 4, 2.0), (0, 6, 1.0), (1, 3, 5.0), (1, 2, 5.0)],
+            # NO_SCORE (-inf) loses to anything finite, ties among itself.
+            [(0, 1, -np.inf), (0, 2, -3.0), (1, 5, -np.inf), (1, 4, -np.inf)],
+            # NaN never beats a number, -inf included.
+            [(0, 1, np.nan), (0, 2, 0.5), (1, 3, np.nan), (1, 7, -np.inf)],
+            # All-NaN vertex: its smallest label, with a NaN score.
+            [(0, 8, np.nan), (0, 3, np.nan), (2, 1, 1.0)],
+            # Vertices with one group each, plus a signed-zero tie.
+            [(0, 5, 1.0), (1, 6, 0.0), (2, 7, -0.0), (2, 1, 0.0)],
+            # Weighted float frequencies.
+            [(0, 1, 0.1 + 0.2), (0, 2, 0.3), (1, 4, 2.5), (1, 9, 2.5000001)],
+        ],
+    )
+    def test_matches_lexsort_definition(self, rows):
+        groups = self.groups_of(rows)
+        vertices = np.arange(4, dtype=np.int64)
+        current = np.array([40, 41, 42, 43], dtype=LABEL_DTYPE)
+        got = mfl.select_best_labels(ClassicLP(), groups, vertices, current)
+        want = self.lexsort_selection(groups, vertices, current)
+        assert np.array_equal(got[0], want[0])
+        # Bitwise: NaN == NaN and -0.0 != 0.0 at this level.
+        assert got[1].tobytes() == want[1].tobytes()
+
+    def test_matches_lexsort_definition_random(self):
+        rng = np.random.default_rng(7)
+        pool = np.array([np.nan, -np.inf, np.inf, -0.0, 0.0, 1.0, 2.0, 0.5])
+        for _ in range(200):
+            n = int(rng.integers(1, 40))
+            rows = {
+                (int(v), int(l)): float(rng.choice(pool))
+                for v, l in zip(rng.integers(0, 6, n), rng.integers(0, 5, n))
+            }
+            groups = self.groups_of([(v, l, s) for (v, l), s in rows.items()])
+            vertices = np.arange(6, dtype=np.int64)
+            current = np.arange(6, dtype=LABEL_DTYPE) + 100
+            got = mfl.select_best_labels(ClassicLP(), groups, vertices, current)
+            want = self.lexsort_selection(groups, vertices, current)
+            assert np.array_equal(got[0], want[0])
+            assert got[1].tobytes() == want[1].tobytes()
+
     def test_per_vertex_extremes(self, star_graph):
         labels = np.array([9, 3, 3, 3, 4, 4, 5, 6, 7], dtype=LABEL_DTYPE)
         batch = mfl.expand_edges(star_graph)

@@ -87,6 +87,83 @@ class TestMatchAnyProperties:
         assert union == expected_union
 
 
+@st.composite
+def warp_grids(draw):
+    """(active, values, predicate) for up to 8 warps of 32 or 64 lanes.
+
+    Values come from a tiny alphabet, so equal values in *different* warps
+    are the norm: a mask that leaks across warps cannot go unnoticed.
+    """
+    warp_size = draw(st.sampled_from([32, 64]))
+    num_warps = draw(st.integers(min_value=0, max_value=8))
+    lane_masks = st.one_of(
+        st.sampled_from([0, (1 << warp_size) - 1]),
+        st.integers(min_value=0, max_value=(1 << warp_size) - 1),
+    )
+    rows = draw(st.lists(lane_masks, min_size=num_warps, max_size=num_warps))
+    active = np.array(
+        [[(row >> lane) & 1 for lane in range(warp_size)] for row in rows],
+        dtype=bool,
+    ).reshape(num_warps, warp_size)
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    alphabet = draw(st.integers(min_value=1, max_value=6))
+    values = rng.integers(0, alphabet, size=active.shape, dtype=np.int64)
+    predicate = rng.random(active.shape) < 0.5
+    return active, values, predicate
+
+
+def reference_lanes(active, values, predicate):
+    """Pure-Python per-lane ``match_any`` masks and per-warp ballots."""
+    num_warps, warp_size = active.shape
+    match = [[0] * warp_size for _ in range(num_warps)]
+    ballot = [0] * num_warps
+    for w in range(num_warps):
+        for i in range(warp_size):
+            if not active[w, i]:
+                continue
+            if predicate[w, i]:
+                ballot[w] |= 1 << i
+            for j in range(warp_size):
+                if active[w, j] and values[w, j] == values[w, i]:
+                    match[w][i] |= 1 << j
+    return match, ballot
+
+
+class TestMultiWarpAgainstReference:
+    @given(warp_grids())
+    @settings(max_examples=80, deadline=None)
+    def test_match_any_and_ballot(self, grid):
+        active, values, predicate = grid
+        match, ballot = reference_lanes(active, values, predicate)
+        masks = warp.match_any_sync(active, values)
+        assert masks.dtype == np.uint64
+        assert masks.shape == active.shape
+        assert [[int(m) for m in row] for row in masks] == match
+        assert [int(b) for b in warp.ballot_sync(active, predicate)] == ballot
+
+    @given(warp_grids())
+    @settings(max_examples=80, deadline=None)
+    def test_popc_and_ffs_of_match_masks(self, grid):
+        active, values, _ = grid
+        masks = warp.match_any_sync(active, values)
+        flat = [int(m) for m in masks.ravel()]
+        assert warp.popc(masks).ravel().tolist() == [
+            bin(m).count("1") for m in flat
+        ]
+        assert warp.ffs(masks).ravel().tolist() == [
+            (m & -m).bit_length() for m in flat
+        ]
+
+    @given(st.lists(st.integers(min_value=0, max_value=2**64 - 1), max_size=64))
+    @settings(max_examples=100, deadline=None)
+    def test_popc_and_ffs_full_64_bit_range(self, words):
+        masks = np.array(words, dtype=np.uint64)
+        assert warp.popc(masks).tolist() == [bin(m).count("1") for m in words]
+        assert warp.ffs(masks).tolist() == [
+            (m & -m).bit_length() for m in words
+        ]
+
+
 class TestBallotProperties:
     @given(warp_states())
     @settings(max_examples=100, deadline=None)
