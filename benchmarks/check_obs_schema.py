@@ -37,85 +37,64 @@ rows.  Exits non-zero with a
 message on the first violation — this is the CI gate for ``run
 --trace-out/--metrics-out``, ``advise --json``, the sanitize-gate
 artifacts, and the perf-gate bench payloads.
+
+Schema versions, enums and key tuples are imported from the modules that
+write each payload (``repro.analysis.findings``, ``repro.obs.*``,
+``repro.bench.baseline``), so the checker holds no second copy of them;
+only keys that no module declares are listed here.  ``repro`` is taken
+from ``sys.path`` or, failing that, from the ``src/`` tree next to this
+script, so the script runs from any directory without ``PYTHONPATH``.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import json
-import os
 import sys
+from pathlib import Path
 
-#: Derived enum file written by ``python -m repro.analysis.consistency
-#: --write``; the single source of truth for rule/source/severity/category/
-#: event enums.  The script stays standalone (stdlib only): the enums are
-#: *derived from* the code by the consistency analyzer, committed next to
-#: this script, and kept fresh by the CI static-gate.
-_ENUMS_PATH = os.path.join(
-    os.path.dirname(os.path.abspath(__file__)), "obs_schema_enums.json"
+try:
+    import repro  # noqa: F401
+except ImportError:  # standalone invocation without PYTHONPATH
+    sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
+
+from repro.analysis.findings import RULES as ANALYSIS_RULES
+from repro.analysis.findings import SCHEMA_VERSION as ANALYSIS_SCHEMA_VERSION
+from repro.analysis.findings import SEVERITIES as ANALYSIS_SEVERITIES
+from repro.analysis.findings import SOURCES as ANALYSIS_SOURCES
+from repro.analysis.findings import Finding as AnalysisFinding
+from repro.bench.baseline import (
+    COUNTER_FIELDS,
+    EXACT_FIELDS,
+    RATIO_COUNTER_FIELDS,
+    SECONDS_FIELDS,
 )
+from repro.bench.baseline import SCHEMA_VERSION as BENCH_SCHEMA_VERSION
+from repro.obs.advisor import CAUSE_KEYS, KERNEL_VERDICTS
+from repro.obs.advisor import Finding as AdvisorFinding
+from repro.obs.flight import FLIGHT_SCHEMA_VERSION
+from repro.obs.journal import ENVELOPE_KEYS as JOURNAL_ENVELOPE_KEYS
+from repro.obs.journal import EVENTS as JOURNAL_EVENTS
+from repro.obs.journal import JOURNAL_SCHEMA_VERSION
+from repro.obs.memory import CATEGORIES as MEMORY_CATEGORIES
+from repro.obs.memory import MEMORY_SCHEMA_VERSION
+from repro.obs.metrics import SCHEMA_VERSION as METRICS_SCHEMA_VERSION
+from repro.obs.trace import SCHEMA_VERSION as TRACE_SCHEMA_VERSION
 
+FINDING_KEYS = tuple(f.name for f in dataclasses.fields(AdvisorFinding))
+ANALYSIS_FINDING_KEYS = tuple(
+    f.name for f in dataclasses.fields(AnalysisFinding)
+)
+BENCH_REQUIRED_KEYS = (
+    EXACT_FIELDS + SECONDS_FIELDS + ("counters", "advisor")
+)
+BENCH_COUNTER_KEYS = COUNTER_FIELDS + RATIO_COUNTER_FIELDS
 
-def _load_enums() -> dict:
-    try:
-        with open(_ENUMS_PATH) as fh:
-            return json.load(fh)
-    except (OSError, json.JSONDecodeError) as error:
-        print(
-            f"check_obs_schema: FAIL: cannot load derived enums "
-            f"{_ENUMS_PATH}: {error}",
-            file=sys.stderr,
-        )
-        raise SystemExit(1)
-
-
-_ENUMS = _load_enums()
-
-# Kept in sync with repro.obs.advisor by tests/obs/test_advisor.py; the
-# script stays standalone (no repo imports) so CI can run it anywhere.
-KERNEL_VERDICTS = {
-    "memory-bound",
-    "compute-bound",
-    "divergence-bound",
-    "conflict-bound",
-    "atomic-bound",
-    "latency-bound",
-}
-CAUSE_KEYS = {
-    "global_memory",
-    "compute_issue",
-    "divergence",
-    "bank_conflicts",
-    "atomics",
-    "launch_overhead",
-}
-FINDING_KEYS = ("kernel", "verdict", "seconds", "severity", "message", "hint")
-
-# Derived from repro.analysis.findings via obs_schema_enums.json; the
-# consistency analyzer (``repro check --all``) fails CI when these drift.
-ANALYSIS_RULES = set(_ENUMS["analysis"]["rules"])
-ANALYSIS_SOURCES = set(_ENUMS["analysis"]["sources"])
-ANALYSIS_SEVERITIES = tuple(_ENUMS["analysis"]["severities"])
-ANALYSIS_SCHEMA_VERSION = 1
-
-# Journal event names any pipeline run may emit (plus the meta header),
-# derived from the obs.emit() call sites.
-JOURNAL_EVENTS = set(_ENUMS["journal"]["events"])
-
-# Kept in sync with repro.obs.journal / repro.obs.flight by
-# tests/obs/test_journal.py and tests/obs/test_flight.py.
-JOURNAL_SCHEMA_VERSION = 1
-JOURNAL_ENVELOPE_KEYS = ("seq", "ts_us", "event", "run_id", "slide_id",
-                         "attempt_id")
-FLIGHT_SCHEMA_VERSION = 1
+# Payload keys no exporter declares; the checker is their only declaration
+# (like the span, histogram and SLO verdict keys inline below).
 POSTMORTEM_KEYS = ("schema_version", "trigger", "run_id", "slide_id",
                    "attempt_id", "details", "context", "fault_plan",
                    "metrics", "memory", "events")
-TRACE_SCHEMA_VERSION = 1
-METRICS_SCHEMA_VERSION = 1
-
-# Category enum derived from repro.obs.memory via obs_schema_enums.json.
-MEMORY_SCHEMA_VERSION = 1
-MEMORY_CATEGORIES = set(_ENUMS["memory"]["categories"])
 MEMORY_DEVICE_KEYS = (
     "device", "capacity_bytes", "live_bytes", "peak_bytes", "peak_ts",
     "peak_fraction", "categories_at_peak", "category_peaks", "num_events",
@@ -128,25 +107,6 @@ MEMORY_EVENT_KEYS = (
 MEMORY_ACCURACY_KEYS = (
     "engine", "device", "source", "predicted_bytes",
     "measured_peak_bytes", "error_ratio", "within_threshold",
-)
-
-# Kept in sync with repro.bench.baseline (SCHEMA_VERSION / result_payload)
-# by tests/bench/test_baseline.py.
-BENCH_SCHEMA_VERSION = 1
-BENCH_REQUIRED_KEYS = (
-    "scenario", "engine", "algorithm", "dataset", "num_vertices",
-    "num_edges", "iterations", "converged", "labels_hash",
-    "num_communities", "total_seconds", "seconds_per_iteration",
-    "counters", "advisor",
-)
-BENCH_COUNTER_KEYS = (
-    "global_transactions", "global_atomic_serialized_ops",
-    "shared_atomic_serialized_ops", "shared_bank_conflicts",
-    "lane_utilization", "h2d_bytes", "d2h_bytes",
-)
-ANALYSIS_FINDING_KEYS = (
-    "rule", "severity", "message", "kernel", "array", "space",
-    "offset", "location", "actors", "count",
 )
 
 
@@ -231,7 +191,7 @@ def check_advisor(path: str) -> None:
                 f"{kernel.get('verdict')!r}"
             )
         causes = kernel.get("causes")
-        if not isinstance(causes, dict) or set(causes) != CAUSE_KEYS:
+        if not isinstance(causes, dict) or set(causes) != set(CAUSE_KEYS):
             fail(f"{path}: kernel {name!r} has malformed causes dict")
         if abs(sum(causes.values()) - kernel.get("seconds", 0.0)) > 1e-9:
             fail(
@@ -297,7 +257,7 @@ def check_analysis(path: str) -> None:
                 f"findings list ({expected})"
             )
     rules = doc.get("rules")
-    if not isinstance(rules, dict) or set(rules) - ANALYSIS_RULES:
+    if not isinstance(rules, dict) or set(rules).difference(ANALYSIS_RULES):
         fail(f"{path}: rules histogram missing or carries unknown rules")
     if sum(rules.values()) != len(findings):
         fail(f"{path}: rules histogram does not sum to the findings count")
@@ -351,7 +311,7 @@ def check_journal(path: str) -> None:
         if record["event"] not in JOURNAL_EVENTS:
             fail(
                 f"{path}: event name {record['event']!r} is not in the "
-                "derived journal-event enum"
+                "declared journal events (repro.obs.journal.EVENTS)"
             )
         seq = record["seq"]
         if not isinstance(seq, int) or seq <= last_seq:
@@ -428,7 +388,7 @@ def check_memory(path: str) -> None:
             f"{MEMORY_SCHEMA_VERSION}"
         )
     categories = doc.get("categories")
-    if not isinstance(categories, list) or set(categories) != (
+    if not isinstance(categories, list) or set(categories) != set(
         MEMORY_CATEGORIES
     ):
         fail(f"{path}: categories enum out of sync: {categories!r}")
@@ -446,7 +406,7 @@ def check_memory(path: str) -> None:
         if dev["reconciled"] is not True or dev["mismatches"] != 0:
             fail(f"{path}: gpu{idx} has unreconciled events")
         for block in (dev["categories_at_peak"], dev["category_peaks"]):
-            unknown = set(block) - MEMORY_CATEGORIES
+            unknown = set(block).difference(MEMORY_CATEGORIES)
             if unknown:
                 fail(f"{path}: gpu{idx} has unknown categories {unknown}")
         events = dev["events"]
@@ -552,38 +512,35 @@ def _extract_flag(args: list, flag: str):
     return paths
 
 
+_FLAG_CHECKS = (
+    ("--analysis", check_analysis),
+    ("--bench", check_bench),
+    ("--journal", check_journal),
+    ("--slo", check_slo),
+    ("--postmortem", check_postmortem),
+    ("--memory", check_memory),
+)
+
+
 def main(argv) -> int:
     args = list(argv[1:])
-    analysis_paths = _extract_flag(args, "--analysis")
-    bench_paths = _extract_flag(args, "--bench")
-    journal_paths = _extract_flag(args, "--journal")
-    slo_paths = _extract_flag(args, "--slo")
-    postmortem_paths = _extract_flag(args, "--postmortem")
-    memory_paths = _extract_flag(args, "--memory")
-    optional_only = (
-        analysis_paths or bench_paths or journal_paths or slo_paths
-        or postmortem_paths or memory_paths
-    )
-    if len(args) not in ((0, 2, 3) if optional_only else (2, 3)):
+    flagged = [
+        (check, path)
+        for flag, check in _FLAG_CHECKS
+        for path in _extract_flag(args, flag)
+    ]
+    if len(args) not in ((0, 2, 3) if flagged else (2, 3)):
         print(__doc__)
         return 2
-    if args:
-        check_trace(args[0])
-        check_metrics(args[1])
-    if len(args) == 3:
-        check_advisor(args[2])
-    for path in analysis_paths:
-        check_analysis(path)
-    for path in bench_paths:
-        check_bench(path)
-    for path in journal_paths:
-        check_journal(path)
-    for path in slo_paths:
-        check_slo(path)
-    for path in postmortem_paths:
-        check_postmortem(path)
-    for path in memory_paths:
-        check_memory(path)
+    positional = list(zip((check_trace, check_metrics, check_advisor), args))
+    for check, path in positional + flagged:
+        try:
+            check(path)
+        except (
+            OSError, ValueError, TypeError, KeyError, AttributeError
+        ) as error:
+            # Malformed input is a schema violation, not a crash.
+            fail(f"{path}: {type(error).__name__}: {error}")
     print("check_obs_schema: all checks passed")
     return 0
 

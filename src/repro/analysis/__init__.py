@@ -23,7 +23,7 @@ Three further static layers ride behind ``repro check --all``:
 * :mod:`repro.analysis.contracts` — engine-capability / hook-signature /
   registry-callback / CLI-wiring contract checks;
 * :mod:`repro.analysis.consistency` — cross-module literal-drift lint
-  deriving the schema enums ``check_obs_schema.py`` validates against.
+  checking emit sites against the enums their modules declare.
 
 All are off by default and, like observability, never perturb labels,
 hashes, counters, or modeled timings.
@@ -34,7 +34,7 @@ from __future__ import annotations
 import contextlib
 from typing import Iterator, Optional
 
-from repro.analysis.consistency import check_consistency, derive_enums
+from repro.analysis.consistency import check_consistency
 from repro.analysis.contracts import check_contracts
 from repro.analysis.dataflow import check_dataflow
 from repro.analysis.findings import (
@@ -70,7 +70,6 @@ __all__ = [
     "check_consistency",
     "check_contracts",
     "check_dataflow",
-    "derive_enums",
     "disable_sanitizer",
     "enable_sanitizer",
     "iter_python_files",

@@ -1,22 +1,20 @@
-"""Cross-module literal-drift lint: one derived source of truth.
+"""Cross-module literal-drift lint: emit sites against their declarations.
 
 The observability stack names things with string literals at their emit
 sites — metric names (``metrics().inc("engine_runs_total")``), journal
 event names (``obs.emit("slide.start")``), allocation categories
-(``alloc_scope("csr")``), finding rule IDs (``Finding(rule=...)``) and
-``SCHEMA_VERSION`` constants — while the declared enums lived in three
-hand-synced lists (``findings.RULES``, ``check_obs_schema.py``, docs).
-This module extracts every literal at its emit site (with local constant
-propagation, so ``counter = "resilience_retries_total"``/``m.inc(counter)``
-resolves) and diffs the result against the declared enums.  The derived
-enum set is written to ``benchmarks/obs_schema_enums.json`` (via
-``python -m repro.analysis.consistency --write``), which
-``check_obs_schema.py`` loads instead of maintaining its own copies.
+(``alloc_scope("csr")``) and finding rule IDs (``Finding(rule=...)``).
+The enums those literals must come from are declared once, in the module
+that owns them (``journal.EVENTS``, ``memory.CATEGORIES``,
+``findings.RULES``), and ``benchmarks/check_obs_schema.py`` imports the
+same declarations.  This module extracts every literal at its emit site
+(with local constant propagation, so ``counter =
+"resilience_retries_total"``/``m.inc(counter)`` resolves) and diffs the
+result against the declarations in both directions.
 
 Rules: ``consistency-metric-drift``, ``consistency-event-drift``,
-``consistency-rule-drift``, ``consistency-category-drift``,
-``consistency-schema-version-drift`` (all errors, each anchored at the
-drifting emit site or at the stale enum file) and
+``consistency-rule-drift``, ``consistency-category-drift`` (all errors,
+each anchored at the drifting emit site or declaration) and
 ``consistency-doc-stale`` (warning: docs mentioning a rule ID that no
 longer exists).
 """
@@ -24,9 +22,9 @@ longer exists).
 from __future__ import annotations
 
 import ast
-import json
 import os
 import re
+from importlib import import_module
 from typing import Dict, List, Optional, Set, Tuple
 
 from repro.analysis import findings as findings_mod
@@ -42,14 +40,6 @@ _METRIC_EXCLUDE = ("obs", "metrics.py")
 
 _RULE_SHAPE = re.compile(r"^[a-z][a-z0-9]*(-[a-z0-9]+)+$")
 
-#: Relative path of the committed derived-enum file.
-ENUMS_RELPATH = os.path.join("benchmarks", "obs_schema_enums.json")
-
-_REGENERATE_HINT = (
-    "regenerate with: PYTHONPATH=src python -m repro.analysis.consistency "
-    "--write benchmarks/obs_schema_enums.json"
-)
-
 
 # ---------------------------------------------------------------------------
 # Literal extraction
@@ -64,7 +54,6 @@ class ExtractedLiterals:
         self.events: List[Site] = []
         self.categories: List[Site] = []
         self.rules: List[Site] = []
-        self.schema_versions: Dict[str, Tuple[int, str]] = {}
         #: Every string constant per file (the rule-coverage direction).
         self.constants: Set[str] = set()
 
@@ -75,7 +64,6 @@ class ExtractedLiterals:
             + len(self.events)
             + len(self.categories)
             + len(self.rules)
-            + len(self.schema_versions)
         )
 
 
@@ -115,22 +103,6 @@ def _extract_file(path: str, out: ExtractedLiterals) -> None:
     for node in ast.walk(tree):
         if isinstance(node, ast.Constant) and isinstance(node.value, str):
             out.constants.add(node.value)
-
-    # Module-level SCHEMA_VERSION constants.
-    for stmt in tree.body:
-        if (
-            isinstance(stmt, ast.Assign)
-            and len(stmt.targets) == 1
-            and isinstance(stmt.targets[0], ast.Name)
-            and "SCHEMA_VERSION" in stmt.targets[0].id
-            and isinstance(stmt.value, ast.Constant)
-            and isinstance(stmt.value.value, int)
-        ):
-            key = f"{os.path.basename(path)}:{stmt.targets[0].id}"
-            out.schema_versions[key] = (
-                int(stmt.value.value),
-                f"{path}:{stmt.lineno}",
-            )
 
     scopes = [tree.body] + [
         node.body
@@ -193,7 +165,7 @@ def extract_literals(paths: List[str]) -> ExtractedLiterals:
 
 
 # ---------------------------------------------------------------------------
-# Derived enums
+# Source locations
 # ---------------------------------------------------------------------------
 
 
@@ -214,40 +186,6 @@ def _src_paths() -> List[str]:
     return [os.path.dirname(os.path.abspath(repro.__file__))]
 
 
-def derive_enums() -> dict:
-    """Derive every schema enum from the code: the single source of truth."""
-    from repro.obs.memory import CATEGORIES
-
-    extracted = extract_literals(_src_paths())
-    events = sorted({name for name, _, _ in extracted.events})
-    journal_path = os.path.join(_src_paths()[0], "obs", "journal.py")
-    if os.path.exists(journal_path):
-        with open(journal_path, "r") as fh:
-            if '"journal.meta"' in fh.read():
-                events = sorted(set(events) | {"journal.meta"})
-    return {
-        "schema_version": 1,
-        "analysis": {
-            "rules": dict(sorted(findings_mod.RULES.items())),
-            "sources": list(findings_mod.SOURCES),
-            "severities": list(findings_mod.SEVERITIES),
-        },
-        "memory": {"categories": list(CATEGORIES)},
-        "metrics": {"names": sorted({n for n, _, _ in extracted.metrics})},
-        "journal": {"events": events},
-        "schema_versions": {
-            key: value
-            for key, (value, _) in sorted(extracted.schema_versions.items())
-        },
-    }
-
-
-def write_enums(path: str) -> None:
-    with open(path, "w") as fh:
-        json.dump(derive_enums(), fh, indent=2, sort_keys=True)
-        fh.write("\n")
-
-
 # ---------------------------------------------------------------------------
 # Drift checks
 # ---------------------------------------------------------------------------
@@ -265,41 +203,46 @@ def _find_literal_line(path: str, literal: str) -> str:
 
 
 def _check_shipped(report: AnalysisReport) -> None:
-    from repro.obs import memory as memory_mod
-
     extracted = extract_literals(_src_paths())
     report.checked += extracted.num_sites
-    declared_categories = set(memory_mod.CATEGORIES)
 
-    # Emitted allocation categories must be declared, and vice versa.
-    emitted_categories = set()
-    for literal, path, lineno in extracted.categories:
-        emitted_categories.add(literal)
-        if literal not in declared_categories:
+    # Emitted allocation categories and journal events must be declared,
+    # and every declared one must have an emit site.
+    for sites, call, module_name, declared, rule, label in (
+        (extracted.categories, "alloc_scope", "repro.obs.memory",
+         "CATEGORIES", "consistency-category-drift", "allocation category"),
+        (extracted.events, "emit", "repro.obs.journal",
+         "EVENTS", "consistency-event-drift", "journal event"),
+    ):
+        # import_module: ``repro.obs`` shadows ``journal`` with a function.
+        module = import_module(module_name)
+        names = set(getattr(module, declared))
+        emitted = set()
+        for literal, path, lineno in sites:
+            emitted.add(literal)
+            if literal not in names:
+                report.add(
+                    Finding(
+                        rule=rule,
+                        message=(
+                            f"{call}({literal!r}) is not a declared {label} "
+                            f"({module_name}.{declared})"
+                        ),
+                        location=f"{path}:{lineno}",
+                    )
+                )
+        for name in sorted(names - emitted):
             report.add(
                 Finding(
-                    rule="consistency-category-drift",
+                    rule=rule,
                     message=(
-                        f"alloc_scope({literal!r}) is not a declared "
-                        "allocation category (obs.memory.CATEGORIES)"
+                        f"declared {label} {name!r} has no {call}() emit "
+                        "site; remove it or restore the call that should "
+                        "carry it"
                     ),
-                    location=f"{path}:{lineno}",
+                    location=_find_literal_line(module.__file__, name),
                 )
             )
-    for category in sorted(declared_categories - emitted_categories):
-        report.add(
-            Finding(
-                rule="consistency-category-drift",
-                message=(
-                    f"declared allocation category {category!r} has no "
-                    "alloc_scope() emit site; remove it or tag the "
-                    "allocation that should carry it"
-                ),
-                location=_find_literal_line(
-                    memory_mod.__file__, category
-                ),
-            )
-        )
 
     # Every rule emitted at a Finding()/lint site must be declared ...
     for literal, path, lineno in extracted.rules:
@@ -329,47 +272,8 @@ def _check_shipped(report: AnalysisReport) -> None:
             )
 
     root = _repo_root()
-    if root is None:
-        return
-    _check_enums_file(report, os.path.join(root, ENUMS_RELPATH))
-    _check_docs(report, os.path.join(root, "docs"))
-
-
-def _check_enums_file(report: AnalysisReport, path: str) -> None:
-    section_rules = {
-        "analysis": "consistency-rule-drift",
-        "memory": "consistency-category-drift",
-        "metrics": "consistency-metric-drift",
-        "journal": "consistency-event-drift",
-        "schema_versions": "consistency-schema-version-drift",
-    }
-    derived = derive_enums()
-    if not os.path.exists(path):
-        report.add(
-            Finding(
-                rule="consistency-schema-version-drift",
-                message=(
-                    "derived enum file is missing; " + _REGENERATE_HINT
-                ),
-                location=f"{path}:0",
-            )
-        )
-        return
-    with open(path, "r") as fh:
-        committed = json.load(fh)
-    for section, rule in section_rules.items():
-        report.checked += 1
-        if committed.get(section) != derived.get(section):
-            report.add(
-                Finding(
-                    rule=rule,
-                    message=(
-                        f"committed enum section {section!r} is stale "
-                        f"against the code; " + _REGENERATE_HINT
-                    ),
-                    location=f"{path}:1",
-                )
-            )
+    if root is not None:
+        _check_docs(report, os.path.join(root, "docs"))
 
 
 def _doc_allowlist() -> Set[str]:
@@ -435,12 +339,12 @@ def _check_docs(report: AnalysisReport, docs_dir: str) -> None:
 
 
 def _check_paths(report: AnalysisReport, paths: List[str]) -> None:
-    """Fixture mode: literals in ``paths`` must match the shipped enums."""
+    """Fixture mode: literals in ``paths`` must match the shipped names."""
+    from repro.obs.journal import EVENTS
     from repro.obs.memory import CATEGORIES
 
-    derived = derive_enums()
-    known_metrics = set(derived["metrics"]["names"])
-    known_events = set(derived["journal"]["events"])
+    shipped = extract_literals(_src_paths())
+    known_metrics = {name for name, _, _ in shipped.metrics}
     extracted = extract_literals(paths)
     report.checked += extracted.num_sites
     checks = (
@@ -452,7 +356,7 @@ def _check_paths(report: AnalysisReport, paths: List[str]) -> None:
         ),
         (
             extracted.events,
-            known_events,
+            set(EVENTS),
             "consistency-event-drift",
             "journal event",
         ),
@@ -476,9 +380,9 @@ def _check_paths(report: AnalysisReport, paths: List[str]) -> None:
                     Finding(
                         rule=rule,
                         message=(
-                            f"{label} {literal!r} is not in the derived "
-                            "enum; emit a declared name or extend the enum "
-                            "at its declaration site"
+                            f"{label} {literal!r} is not a name src/repro "
+                            "declares or emits; use a shipped name or "
+                            "extend its declaration"
                         ),
                         location=f"{path}:{lineno}",
                     )
@@ -495,22 +399,7 @@ def check_consistency(paths: Optional[List[str]] = None) -> AnalysisReport:
     return report
 
 
-def main(argv=None) -> int:
-    import argparse
-
-    parser = argparse.ArgumentParser(
-        description="Derive or check the observability schema enums."
-    )
-    parser.add_argument(
-        "--write",
-        metavar="PATH",
-        help="write the derived enum JSON to PATH and exit",
-    )
-    args = parser.parse_args(argv)
-    if args.write:
-        write_enums(args.write)
-        print(f"wrote {args.write}")
-        return 0
+def main() -> int:
     report = check_consistency()
     print(report.to_text())
     return 1 if report.has_hazards else 0

@@ -71,15 +71,14 @@ RULES: Dict[str, str] = {
     "consistency-event-drift": "error",
     "consistency-rule-drift": "error",
     "consistency-category-drift": "error",
-    "consistency-schema-version-drift": "error",
     "consistency-doc-stale": "warning",
 }
 
 SEVERITIES = ("error", "warning", "info")
 
 #: Every report producer.  ``AnalysisReport.source`` must be one of these;
-#: the consistency analyzer derives the schema-checker enums from this
-#: tuple and :data:`RULES`.
+#: ``benchmarks/check_obs_schema.py`` validates reports against this tuple
+#: and :data:`RULES`.
 SOURCES = (
     "sanitizer",
     "lint",

@@ -38,8 +38,36 @@ from typing import Dict, Iterator, List, Optional
 #: Bump when the event envelope changes incompatibly.
 JOURNAL_SCHEMA_VERSION = 1
 
-#: Envelope keys payload fields may not override.
-_RESERVED = ("seq", "ts_us", "event", "run_id", "slide_id", "attempt_id")
+#: Envelope keys every record carries; payload fields may not override them.
+ENVELOPE_KEYS = ("seq", "ts_us", "event", "run_id", "slide_id", "attempt_id")
+
+#: Every event name an ``obs.emit()`` call site may journal (the
+#: ``journal.meta`` header is not an event).  The consistency lint
+#: (``repro check --all``) checks the emit sites against this tuple both
+#: ways.
+EVENTS = (
+    "engine.attempt.start",
+    "engine.attempt.fault",
+    "engine.attempt.end",
+    "fault.injected",
+    "recovery.checkpoint",
+    "recovery.fault",
+    "recovery.restore",
+    "resilience.degradation",
+    "slide.start",
+    "slide.diff",
+    "slide.replay",
+    "slide.plan",
+    "slide.detect",
+    "slide.end",
+    "serve.start",
+    "serve.slide",
+    "serve.probe",
+    "serve.shed",
+    "serve.overload",
+    "serve.end",
+    "flight.dump",
+)
 
 
 def mint_run_id() -> str:
@@ -101,7 +129,7 @@ class Journal:
             }
             if fields:
                 for key, value in fields.items():
-                    if key not in _RESERVED:
+                    if key not in ENVELOPE_KEYS:
                         record[key] = _jsonable(value)
             self.events.append(record)
             return record

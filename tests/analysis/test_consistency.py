@@ -1,24 +1,19 @@
-"""Consistency lint tests: derived enums in sync, drifted literals flagged.
+"""Consistency lint tests: emit sites checked against their declarations.
 
-``benchmarks/obs_schema_enums.json`` is generated from the source tree
-(``python -m repro.analysis.consistency --write ...``); these tests prove
-the committed copy is fresh and that each class of drift is caught at its
-emit site.
+The shipped tree must be clean, each class of drift in the seeded fixture
+must be caught at its emit site, and a declared name with no emit site
+must be caught at its declaration.
 """
 
 from __future__ import annotations
 
-import json
+import importlib
 import os
 
-from repro.analysis import check_consistency, derive_enums
-from repro.analysis.findings import RULES
-from repro.obs.memory import CATEGORIES
+from repro.analysis import check_consistency
 
 HERE = os.path.dirname(__file__)
 FIXTURES = os.path.join(HERE, "fixtures")
-REPO_ROOT = os.path.dirname(os.path.dirname(HERE))
-ENUMS_PATH = os.path.join(REPO_ROOT, "benchmarks", "obs_schema_enums.json")
 
 
 def _fixture_report(name):
@@ -77,21 +72,6 @@ def test_shipped_tree_has_no_drift():
     assert report.checked > 0
 
 
-def test_committed_enums_match_derivation():
-    with open(ENUMS_PATH) as fh:
-        committed = json.load(fh)
-    assert committed == derive_enums()
-
-
-def test_derived_enums_cover_declared_surfaces():
-    enums = derive_enums()
-    assert set(enums["analysis"]["rules"]) == set(RULES)
-    assert set(enums["memory"]["categories"]) == set(CATEGORIES)
-    assert "journal.meta" in enums["journal"]["events"]
-    assert "slide.detect" in enums["journal"]["events"]
-    assert any(name.endswith("_total") for name in enums["metrics"]["names"])
-
-
 def test_declared_but_never_emitted_rule_is_drift(monkeypatch):
     from repro.analysis import findings as findings_mod
 
@@ -99,3 +79,14 @@ def test_declared_but_never_emitted_rule_is_drift(monkeypatch):
     report = check_consistency()
     drift = [f for f in report.findings if f.rule == "consistency-rule-drift"]
     assert any("lint-phantom-rule" in f.message for f in drift)
+
+
+def test_declared_but_never_emitted_event_is_drift(monkeypatch):
+    # ``repro.obs.journal`` the attribute is a function; fetch the module.
+    journal = importlib.import_module("repro.obs.journal")
+    monkeypatch.setattr(
+        journal, "EVENTS", journal.EVENTS + ("slide.phantom",)
+    )
+    report = check_consistency()
+    drift = [f for f in report.findings if f.rule == "consistency-event-drift"]
+    assert any("slide.phantom" in f.message for f in drift)

@@ -8,14 +8,13 @@ regression guard behind the CI sanitize-gate.
 
 from __future__ import annotations
 
-import importlib.util
+import json
 import os
 
 import pytest
 
 from repro import analysis
 from repro.algorithms import ClassicLP
-from repro.analysis.findings import RULES, SCHEMA_VERSION
 
 HERE = os.path.dirname(__file__)
 FIXTURES = os.path.join(HERE, "fixtures")
@@ -128,41 +127,62 @@ def test_lint_program_flags_a_bad_hook_and_passes_defaults():
     assert analysis.lint_program(ClassicLP()).findings == []
 
 
-def _load_schema_checker():
-    path = os.path.join(REPO_ROOT, "benchmarks", "check_obs_schema.py")
-    spec = importlib.util.spec_from_file_location("check_obs_schema", path)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
-
-
-def test_schema_checker_rule_enum_in_sync():
-    checker = _load_schema_checker()
-    assert checker.ANALYSIS_RULES == set(RULES)
-    assert checker.ANALYSIS_SCHEMA_VERSION == SCHEMA_VERSION
-
-
-def test_schema_checker_accepts_a_real_report(tmp_path, capsys):
-    checker = _load_schema_checker()
+def test_schema_checker_accepts_a_real_report(
+    schema_checker, tmp_path, capsys
+):
     report = analysis.lint_paths([FIXTURES])
     assert report.has_hazards  # fixtures are not clean by design
     path = tmp_path / "lint.json"
     report.write(str(path))
-    checker.check_analysis(str(path))  # sys.exit(1)s on violation
+    schema_checker.check_analysis(str(path))  # sys.exit(1)s on violation
     assert "OK" in capsys.readouterr().out
 
 
-def test_schema_checker_rejects_unknown_rule(tmp_path):
-    checker = _load_schema_checker()
+def test_schema_checker_rejects_unknown_rule(schema_checker, tmp_path):
     report = analysis.lint_paths([FIXTURES])
     doc = report.as_dict()
     doc["findings"][0]["rule"] = "not-a-rule"
     path = tmp_path / "bad.json"
-    import json
-
     path.write_text(json.dumps(doc))
     with pytest.raises(SystemExit):
-        checker.check_analysis(str(path))
+        schema_checker.check_analysis(str(path))
+
+
+def _bench_with_null_advisor():
+    with open(os.path.join(REPO_ROOT, "BENCH_dense_classic.json")) as fh:
+        doc = json.load(fh)
+    doc["advisor"] = None
+    return doc
+
+
+def _analysis_with_string_finding():
+    doc = analysis.lint_paths([FIXTURES]).as_dict()
+    # Contains every finding key as a substring, so the key check passes
+    # and indexing the string raises TypeError.
+    doc["findings"][0] = (
+        "rule severity message kernel array space offset location "
+        "actors count"
+    )
+    return doc
+
+
+@pytest.mark.parametrize(
+    "flag, make_doc",
+    [
+        ("--bench", _bench_with_null_advisor),
+        ("--analysis", _analysis_with_string_finding),
+    ],
+    ids=["bench-null-advisor", "analysis-string-finding"],
+)
+def test_schema_checker_fails_cleanly_on_malformed_input(
+    schema_checker, tmp_path, capsys, flag, make_doc
+):
+    path = tmp_path / "malformed.json"
+    path.write_text(json.dumps(make_doc()))
+    with pytest.raises(SystemExit) as exc:
+        schema_checker.main(["check_obs_schema.py", flag, str(path)])
+    assert exc.value.code == 1
+    assert f"check_obs_schema: FAIL: {path}: " in capsys.readouterr().err
 
 
 def test_disable_next_line_suppresses_a_wrapped_statement():

@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import importlib.util
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -61,3 +64,20 @@ def empty_graph() -> CSRGraph:
         indices=np.empty(0, dtype=np.int64),
         name="empty",
     )
+
+
+@pytest.fixture(scope="session")
+def schema_checker():
+    """``benchmarks/check_obs_schema.py`` loaded as a module.
+
+    Resolved from the repo root, so it loads whatever directory pytest
+    runs from.
+    """
+    path = (
+        Path(__file__).resolve().parent.parent
+        / "benchmarks" / "check_obs_schema.py"
+    )
+    spec = importlib.util.spec_from_file_location("check_obs_schema", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module

@@ -230,28 +230,6 @@ class TestEdgeCases:
             )
 
 
-class TestSchemaCheckerSync:
-    """benchmarks/check_obs_schema.py hardcodes the enums (it must stay
-    standalone); this pins them to the module's definitions."""
-
-    def test_script_constants_match_module(self):
-        import importlib.util
-        from pathlib import Path
-
-        script = (
-            Path(__file__).resolve().parents[2]
-            / "benchmarks"
-            / "check_obs_schema.py"
-        )
-        spec = importlib.util.spec_from_file_location(
-            "check_obs_schema", script
-        )
-        module = importlib.util.module_from_spec(spec)
-        spec.loader.exec_module(module)
-        assert module.KERNEL_VERDICTS == set(KERNEL_VERDICTS)
-        assert module.CAUSE_KEYS == set(CAUSE_KEYS)
-
-
 class TestAdvisorIdentity:
     def test_building_report_changes_nothing(self, powerlaw_graph):
         engine_plain = GLPEngine()

@@ -198,15 +198,9 @@ class TestPostMortemAcceptance:
             doc = json.load(fh)
         assert doc["trigger"] == "unrecovered-fault"
 
-    def test_bundle_validates_against_schema_checker(self, stream, tmp_path):
-        import importlib.util
-
-        spec = importlib.util.spec_from_file_location(
-            "check_obs_schema", "benchmarks/check_obs_schema.py"
-        )
-        checker = importlib.util.module_from_spec(spec)
-        spec.loader.exec_module(checker)
-
+    def test_bundle_validates_against_schema_checker(
+        self, schema_checker, stream, tmp_path
+    ):
         detector = SlidingWindowDetector(
             stream, ClusterDetector(GLPEngine())
         )
@@ -215,4 +209,4 @@ class TestPostMortemAcceptance:
             with inject(FaultPlan.parse("oom@2x999999")):
                 detector.start(0, 6)
         path = tmp_path / "postmortem-001.json"
-        checker.check_postmortem(str(path))  # SystemExit on violation
+        schema_checker.check_postmortem(str(path))  # SystemExit on violation

@@ -9,9 +9,7 @@ counter-track export, the ``device_footprint`` planner-accuracy gate,
 flight-recorder allocation snapshots and the schema checker.
 """
 
-import importlib.util
 import json
-import os
 
 import numpy as np
 import pytest
@@ -32,17 +30,6 @@ from repro.obs.memory import (
     render_memory_report,
     track,
 )
-
-REPO_ROOT = os.path.join(os.path.dirname(__file__), "..", "..")
-
-
-def _load_checker():
-    path = os.path.join(REPO_ROOT, "benchmarks", "check_obs_schema.py")
-    spec = importlib.util.spec_from_file_location("check_obs_schema", path)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
-
 
 @pytest.fixture
 def tracker():
@@ -443,45 +430,32 @@ class TestReportAndChecker:
         assert "gpu0" in text
         assert "planner accuracy" in text
 
-    def test_checker_accepts_real_report(self, powerlaw_graph, tmp_path):
-        checker = _load_checker()
+    def test_checker_accepts_real_report(
+        self, schema_checker, powerlaw_graph, tmp_path
+    ):
         path = tmp_path / "memory.json"
         path.write_text(json.dumps(self._report_for(powerlaw_graph)))
-        checker.check_memory(str(path))
+        schema_checker.check_memory(str(path))
 
     def test_checker_rejects_unreconciled_event(
-        self, powerlaw_graph, tmp_path
+        self, schema_checker, powerlaw_graph, tmp_path
     ):
-        checker = _load_checker()
         report = self._report_for(powerlaw_graph)
         report["devices"][0]["events"][0]["live_bytes"] += 1
         path = tmp_path / "memory.json"
         path.write_text(json.dumps(report))
         with pytest.raises(SystemExit):
-            checker.check_memory(str(path))
+            schema_checker.check_memory(str(path))
 
     def test_checker_rejects_unexplained_peak(
-        self, powerlaw_graph, tmp_path
+        self, schema_checker, powerlaw_graph, tmp_path
     ):
-        checker = _load_checker()
         report = self._report_for(powerlaw_graph)
         report["devices"][0]["peak_bytes"] += 4096
         path = tmp_path / "memory.json"
         path.write_text(json.dumps(report))
         with pytest.raises(SystemExit):
-            checker.check_memory(str(path))
-
-    def test_checker_enums_in_sync(self):
-        checker = _load_checker()
-        assert checker.MEMORY_CATEGORIES == set(CATEGORIES)
-        assert checker.MEMORY_SCHEMA_VERSION == MEMORY_SCHEMA_VERSION
-        assert "memory" in checker.ANALYSIS_SOURCES
-        assert "memory" in checker.POSTMORTEM_KEYS
-        assert {
-            "memory-planner-underestimate",
-            "memory-planner-overestimate",
-            "memory-unreconciled",
-        } <= checker.ANALYSIS_RULES
+            schema_checker.check_memory(str(path))
 
     def test_bench_payload_gains_memory_block(self):
         from repro.bench.baseline import compare_payloads, run_scenario

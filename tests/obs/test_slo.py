@@ -6,6 +6,7 @@ the analysis-report currency, and live-registry vs JSON-dump parity.
 """
 
 import json
+from pathlib import Path
 
 import pytest
 
@@ -97,7 +98,8 @@ class TestSpecParsing:
         assert doc == {"a": 1, "b": 2.5, "c": "s", "d": True}
 
     def test_repo_spec_loads(self):
-        slos = load_slo_spec("benchmarks/serving_slo.toml")
+        spec = Path(__file__).resolve().parents[2] / "benchmarks"
+        slos = load_slo_spec(str(spec / "serving_slo.toml"))
         assert len(slos) == 10
         names = {s.name for s in slos}
         assert "serve-request-p95" in names
@@ -266,20 +268,14 @@ class TestAnalysisCurrency:
         assert RULES["slo-burn-rate"] == "warning"
         assert RULES["slo-missing-metric"] == "warning"
 
-    def test_report_validates_against_schema_checker(self, tmp_path):
-        import importlib.util
-
-        spec = importlib.util.spec_from_file_location(
-            "check_obs_schema", "benchmarks/check_obs_schema.py"
-        )
-        checker = importlib.util.module_from_spec(spec)
-        spec.loader.exec_module(checker)
-
+    def test_report_validates_against_schema_checker(
+        self, schema_checker, tmp_path
+    ):
         registry = _registry(latencies=[2.0] * 20, full=3, degradations=1)
         report = evaluate_slos(parse_slo_spec(SPEC), registry)
         path = tmp_path / "slo.json"
         report.write(str(path))
-        checker.check_slo(str(path))  # raises SystemExit on violation
+        schema_checker.check_slo(str(path))  # raises SystemExit on violation
 
     def test_to_text_statuses(self):
         registry = _registry(latencies=[2.0] * 20, full=3, incremental=1)

@@ -115,19 +115,24 @@ class TestChaosAnalysisReport:
         import subprocess
         import sys
 
-        checker = os.path.join(
+        checker = os.path.abspath(os.path.join(
             os.path.dirname(__file__), os.pardir, os.pardir,
             "benchmarks", "check_obs_schema.py",
-        )
+        ))
         analysis = self.make_report(
             ["failed", "degraded", "recovered"]
         ).analysis_report()
         path = tmp_path / "chaos.json"
         path.write_text(json.dumps(analysis.as_dict()))
+        # Run from outside the repo with no PYTHONPATH: the script must
+        # find ``repro`` on its own.
+        env = {k: v for k, v in os.environ.items() if k != "PYTHONPATH"}
         proc = subprocess.run(
             [sys.executable, checker, "--analysis", str(path)],
             capture_output=True,
             text=True,
+            cwd=tmp_path,
+            env=env,
         )
         assert proc.returncode == 0, proc.stderr
 
