@@ -20,8 +20,8 @@ Three further static layers ride behind ``repro check --all``:
 
 * :mod:`repro.analysis.dataflow` — interval abstract interpretation
   proving shared-memory accesses in-bounds for every launch geometry;
-* :mod:`repro.analysis.contracts` — engine-capability / hook-signature /
-  registry-callback / CLI-wiring contract checks;
+* :mod:`repro.analysis.contracts` — hook-signature / registry-callback /
+  CLI-wiring contract checks;
 * :mod:`repro.analysis.consistency` — cross-module literal-drift lint
   checking emit sites against the enums their modules declare.
 

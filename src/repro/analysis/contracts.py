@@ -1,16 +1,13 @@
 """Static contract checks for the engine/hook/CLI interface surface.
 
 The platform's cross-module interfaces are deliberately duck-typed — the
-``gpusim.hooks`` registry imports nothing, engines advertise capabilities
-with ``supports_incremental``/``supports_recovery`` class flags, and the
-CLI maps flag names to engines by string.  This module turns those
-conventions into machine-checked contracts:
+``gpusim.hooks`` registry imports nothing and the CLI maps flag names to
+engines by string.  This module turns those conventions into
+machine-checked contracts (device engines need none: the
+:class:`~repro.core.driver.BSPEngine` base rejects a subclass missing a
+driver hook at construction, and :func:`~repro.core.driver.drive` is the
+one ``run`` signature):
 
-``contract-missing-capability-kwarg``
-    An engine advertising a capability flag whose ``run`` does not accept
-    the keyword arguments that capability implies
-    (``supports_incremental`` → ``initial_frontier=``/``warm_labels=``;
-    ``supports_recovery`` → ``retry_policy=``/``resume_from=``).
 ``contract-hook-signature-mismatch``
     An :class:`~repro.core.api.LPProgram` subclass overriding a Table-1
     hook with an incompatible positional signature.
@@ -19,12 +16,12 @@ conventions into machine-checked contracts:
     sanitizer) whose callback shape no longer matches what the simulator
     actually calls.
 ``contract-cli-capability-mismatch``
-    A CLI flag wired to an engine that does not implement the capability
-    the flag requires (the ``exit 2`` paths in ``repro run``).
+    A CLI device engine (the resilience and ``--frontier`` flags' targets)
+    that is not a :class:`~repro.core.driver.BSPEngine`, so the flags
+    would hit the ``exit 2`` paths in ``repro run``.
 
 Two modes: with no ``paths`` the *shipped* interfaces are imported and
-checked via :mod:`inspect` (which sees inherited ``run`` methods); with
-explicit ``paths`` the checks run purely on the AST, which is what the
+checked via :mod:`inspect`; with explicit ``paths`` the checks run purely on the AST, which is what the
 seeded test fixtures exercise.
 """
 
@@ -36,12 +33,6 @@ from typing import Dict, List, Optional, Tuple
 
 from repro.analysis.findings import AnalysisReport, Finding
 from repro.analysis.lint import iter_python_files
-
-#: Capability flag -> keyword arguments ``run`` must accept when truthy.
-CAPABILITY_KWARGS: Dict[str, Tuple[str, ...]] = {
-    "supports_incremental": ("initial_frontier", "warm_labels"),
-    "supports_recovery": ("retry_policy", "resume_from"),
-}
 
 #: LP hook -> expected positional parameter count (including ``self``).
 HOOK_ARITY: Dict[str, int] = {
@@ -99,45 +90,6 @@ def _signature_accepts(sig: inspect.Signature, kwarg: str) -> bool:
 # ---------------------------------------------------------------------------
 # Shipped-interface (import) mode
 # ---------------------------------------------------------------------------
-
-
-def _engine_classes():
-    from repro import baselines
-    from repro.core import framework, hybrid, multigpu
-
-    seen = {}
-    for module in (framework, hybrid, multigpu, baselines):
-        for name in sorted(vars(module)):
-            obj = getattr(module, name)
-            if (
-                inspect.isclass(obj)
-                and name.endswith("Engine")
-                and callable(getattr(obj, "run", None))
-            ):
-                seen[f"{obj.__module__}.{name}"] = obj
-    return list(seen.values())
-
-
-def _check_engine_capabilities(report: AnalysisReport) -> None:
-    for cls in _engine_classes():
-        report.checked += 1
-        sig = inspect.signature(cls.run)
-        for flag, required in CAPABILITY_KWARGS.items():
-            if not getattr(cls, flag, False):
-                continue
-            for kwarg in required:
-                if not _signature_accepts(sig, kwarg):
-                    report.add(
-                        Finding(
-                            rule="contract-missing-capability-kwarg",
-                            message=(
-                                f"{cls.__name__} advertises {flag}=True "
-                                f"but run() does not accept {kwarg}="
-                            ),
-                            kernel=cls.__name__,
-                            location=_location_of(cls.run),
-                        )
-                    )
 
 
 def _program_classes():
@@ -259,6 +211,7 @@ def _check_registry_subscribers(report: AnalysisReport) -> None:
 def _check_cli_capabilities(report: AnalysisReport) -> None:
     from repro import cli
     from repro.baselines import GHashEngine, GSortEngine
+    from repro.core.driver import BSPEngine
     from repro.core.framework import GLPEngine
 
     device_classes = {
@@ -280,60 +233,23 @@ def _check_cli_capabilities(report: AnalysisReport) -> None:
                     location=_location_of(cli),
                 )
             )
-            continue
-        if not getattr(cls, "supports_recovery", False):
+        elif not issubclass(cls, BSPEngine):
             report.add(
                 Finding(
                     rule="contract-cli-capability-mismatch",
                     message=(
                         f"CLI accepts resilience flags for engine {name!r} "
-                        f"but {cls.__name__}.supports_recovery is not True"
+                        f"but {cls.__name__} is not a BSPEngine"
                     ),
                     kernel=cls.__name__,
                     location=_location_of(cls),
                 )
             )
-    # ``--frontier`` is only wired to glp; it requires warm-start support.
-    report.checked += 1
-    if not getattr(device_classes["glp"], "supports_incremental", False):
-        report.add(
-            Finding(
-                rule="contract-cli-capability-mismatch",
-                message=(
-                    "CLI wires --frontier to GLPEngine but "
-                    "GLPEngine.supports_incremental is not True"
-                ),
-                kernel="GLPEngine",
-                location=_location_of(device_classes["glp"]),
-            )
-        )
 
 
 # ---------------------------------------------------------------------------
 # AST (fixture/path) mode
 # ---------------------------------------------------------------------------
-
-
-def _class_flags(node: ast.ClassDef) -> Dict[str, bool]:
-    flags = {}
-    for stmt in node.body:
-        if isinstance(stmt, ast.Assign) and len(stmt.targets) == 1:
-            target = stmt.targets[0]
-            if (
-                isinstance(target, ast.Name)
-                and target.id in CAPABILITY_KWARGS
-                and isinstance(stmt.value, ast.Constant)
-            ):
-                flags[target.id] = bool(stmt.value.value)
-    return flags
-
-
-def _def_accepts(func: ast.FunctionDef, kwarg: str) -> bool:
-    if func.args.kwarg is not None:
-        return True
-    names = [a.arg for a in func.args.args]
-    names += [a.arg for a in func.args.kwonlyargs]
-    return kwarg in names
 
 
 def _looks_like_program(node: ast.ClassDef) -> bool:
@@ -350,55 +266,34 @@ def _check_ast_file(path: str, report: AnalysisReport) -> None:
     with open(path, "r") as fh:
         tree = ast.parse(fh.read(), filename=path)
     for node in ast.walk(tree):
-        if not isinstance(node, ast.ClassDef):
+        if not isinstance(node, ast.ClassDef) or not _looks_like_program(node):
             continue
         defs = {
             stmt.name: stmt
             for stmt in node.body
             if isinstance(stmt, ast.FunctionDef)
         }
-        flags = _class_flags(node)
-        run_def = defs.get("run")
-        if flags and run_def is not None:
+        for hook, expected in HOOK_ARITY.items():
+            hook_def = defs.get(hook)
+            if hook_def is None:
+                continue
             report.checked += 1
-            for flag, required in CAPABILITY_KWARGS.items():
-                if not flags.get(flag):
-                    continue
-                for kwarg in required:
-                    if not _def_accepts(run_def, kwarg):
-                        report.add(
-                            Finding(
-                                rule="contract-missing-capability-kwarg",
-                                message=(
-                                    f"{node.name} advertises {flag}=True "
-                                    f"but run() does not accept {kwarg}="
-                                ),
-                                kernel=node.name,
-                                location=f"{path}:{run_def.lineno}",
-                            )
-                        )
-        if _looks_like_program(node):
-            for hook, expected in HOOK_ARITY.items():
-                hook_def = defs.get(hook)
-                if hook_def is None:
-                    continue
-                report.checked += 1
-                if hook_def.args.vararg is not None:
-                    continue
-                count = len(hook_def.args.args)
-                if count != expected:
-                    report.add(
-                        Finding(
-                            rule="contract-hook-signature-mismatch",
-                            message=(
-                                f"{node.name}.{hook} takes {count} "
-                                f"positional parameter(s); the LPProgram "
-                                f"hook contract requires {expected}"
-                            ),
-                            kernel=node.name,
-                            location=f"{path}:{hook_def.lineno}",
-                        )
+            if hook_def.args.vararg is not None:
+                continue
+            count = len(hook_def.args.args)
+            if count != expected:
+                report.add(
+                    Finding(
+                        rule="contract-hook-signature-mismatch",
+                        message=(
+                            f"{node.name}.{hook} takes {count} "
+                            f"positional parameter(s); the LPProgram "
+                            f"hook contract requires {expected}"
+                        ),
+                        kernel=node.name,
+                        location=f"{path}:{hook_def.lineno}",
                     )
+                )
 
 
 # ---------------------------------------------------------------------------
@@ -410,7 +305,7 @@ def check_contracts(paths: Optional[List[str]] = None) -> AnalysisReport:
     """Run the contract checker; returns a ``source="contracts"`` report.
 
     With ``paths`` the AST checks run on those files; without, the shipped
-    engines, LP programs, registry subscribers and CLI wiring are imported
+    LP programs, registry subscribers and CLI engine wiring are imported
     and verified.
     """
     report = AnalysisReport(source="contracts")
@@ -418,7 +313,6 @@ def check_contracts(paths: Optional[List[str]] = None) -> AnalysisReport:
         for path in iter_python_files(paths):
             _check_ast_file(path, report)
         return report
-    _check_engine_capabilities(report)
     _check_program_hooks(report)
     _check_registry_subscribers(report)
     _check_cli_capabilities(report)

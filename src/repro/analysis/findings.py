@@ -62,7 +62,6 @@ RULES: Dict[str, str] = {
     "dataflow-nonmonotone-update": "error",
     "dataflow-proven-clean": "info",
     # --- contract checker (repro.analysis.contracts) ---------------------
-    "contract-missing-capability-kwarg": "error",
     "contract-hook-signature-mismatch": "error",
     "contract-registry-callback-mismatch": "error",
     "contract-cli-capability-mismatch": "error",

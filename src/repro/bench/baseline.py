@@ -31,8 +31,9 @@ from typing import Callable, Dict, List, Optional, Sequence
 
 import numpy as np
 
-from repro.errors import BenchmarkError
+from repro.errors import BenchmarkError, ObservabilityError
 from repro.obs.advisor import AdvisorReport
+from repro.obs.slo import load_toml
 
 #: Bump when payload fields change incompatibly.
 SCHEMA_VERSION = 1
@@ -521,44 +522,6 @@ DEFAULT_TOLERANCES = {
 }
 
 
-def _parse_toml_minimal(text: str) -> dict:
-    """Tiny TOML-subset parser for pre-3.11 interpreters (no tomllib).
-
-    Supports ``[section]`` / ``[a.b]`` headers and ``key = value`` lines
-    with float/int/bool/string scalars — exactly the shape of
-    ``benchmarks/baseline_config.toml``.
-    """
-    doc: dict = {}
-    table = doc
-    for raw in text.splitlines():
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        if line.startswith("[") and line.endswith("]"):
-            table = doc
-            for part in line[1:-1].strip().split("."):
-                table = table.setdefault(part.strip(), {})
-            continue
-        if "=" not in line:
-            raise BenchmarkError(f"unparseable config line: {raw!r}")
-        key, value = (s.strip() for s in line.split("=", 1))
-        if value.startswith(("'", '"')) and value.endswith(value[0]):
-            table[key] = value[1:-1]
-        elif value in ("true", "false"):
-            table[key] = value == "true"
-        else:
-            try:
-                table[key] = int(value)
-            except ValueError:
-                try:
-                    table[key] = float(value)
-                except ValueError:
-                    raise BenchmarkError(
-                        f"unparseable config value: {raw!r}"
-                    ) from None
-    return doc
-
-
 def load_tolerance_config(path=None) -> dict:
     """Load ``baseline_config.toml`` (missing file → defaults only)."""
     if path is None:
@@ -566,13 +529,12 @@ def load_tolerance_config(path=None) -> dict:
     path = Path(path)
     if not path.exists():
         raise BenchmarkError(f"tolerance config {path} does not exist")
-    text = path.read_text()
     try:
-        import tomllib
-
-        doc = tomllib.loads(text)
-    except ModuleNotFoundError:
-        doc = _parse_toml_minimal(text)
+        doc = load_toml(path.read_text())
+    except (ObservabilityError, ValueError) as exc:
+        raise BenchmarkError(
+            f"unparseable tolerance config {path}: {exc}"
+        ) from exc
     doc.setdefault("default", {})
     for key, value in DEFAULT_TOLERANCES.items():
         doc["default"].setdefault(key, value)

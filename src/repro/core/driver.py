@@ -4,8 +4,8 @@ The GLP, hybrid and multi-GPU engines all run the same loop (Figure 2):
 PickLabel -> LabelPropagation -> UpdateVertex, once per BSP iteration,
 until the program converges or the iteration budget runs out.  They
 differ only in *where* the LabelPropagation work happens.  :func:`drive`
-is that loop, written once; an engine class binds it with ``run = drive``
-and supplies:
+is that loop, written once.  A device engine subclasses :class:`BSPEngine`,
+binds the loop with ``run = drive`` in its own class body, and supplies:
 
 ``_initial_carry(initial)``
     The engine-state carry dict seeded from the coerced
@@ -30,6 +30,7 @@ convergence test, tracer spans, and run metrics.
 
 from __future__ import annotations
 
+import abc
 import time
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Union
@@ -43,6 +44,34 @@ from repro.core.results import IterationStats, LPResult
 from repro.errors import ConvergenceError, DeviceFault
 from repro.graph.csr import CSRGraph
 from repro.kernels.frontier import coerce_initial_frontier
+
+
+class BSPEngine(abc.ABC):
+    """A device engine run by :func:`drive`.
+
+    ``isinstance(engine, BSPEngine)`` is the one test for "accepts the
+    incremental (``initial_frontier``/``warm_labels``) and resilience
+    (``retry_policy``/``checkpoint_dir``/``resume_from``) run kwargs":
+    :func:`drive` is the single signature that supplies them.  A subclass
+    missing a hook fails at construction.
+    """
+
+    @property
+    def devices(self) -> list:
+        """The simulated devices this engine drives."""
+        return [self.device]
+
+    @abc.abstractmethod
+    def _initial_carry(self, initial: Optional[np.ndarray]) -> dict:
+        """The engine-state carry seeded from the coerced frontier."""
+
+    @abc.abstractmethod
+    def _attempt(self, run: "BSPRun"):
+        """Context manager: residency for one attempt; yields the step."""
+
+    @abc.abstractmethod
+    def _finish(self, run: "BSPRun") -> Optional[np.ndarray]:
+        """After a successful attempt: the residual frontier."""
 
 
 @dataclass
@@ -97,7 +126,7 @@ def _coerce_warm_labels(
 
 
 def drive(
-    engine,
+    engine: BSPEngine,
     graph: CSRGraph,
     program: LPProgram,
     *,
@@ -133,8 +162,8 @@ def drive(
         A :class:`~repro.resilience.RetryPolicy`; device faults are
         recovered by restoring the BSP-boundary checkpoint and re-running
         (bounded retries for transient faults, bounded resumes for fatal
-        ones).  OOM always propagates — stepping down engines is
-        ``run_auto``'s job.
+        ones).  OOM always propagates — stepping down engines is the
+        degradation ladder's job (:func:`repro.core.hybrid.run_ladder`).
     ``checkpoint_dir``
         Persist the per-iteration :class:`~repro.resilience.
         RunCheckpoint` here so a killed run can be resumed.
@@ -147,7 +176,7 @@ def drive(
         raise ConvergenceError("max_iterations must be positive")
     from repro.resilience.recovery import RecoveryContext
 
-    for device in getattr(engine, "devices", None) or [engine.device]:
+    for device in engine.devices:
         device.reset_timing()
 
     labels = program.init_labels(graph)

@@ -38,7 +38,7 @@ from typing import Optional
 import numpy as np
 
 from repro import obs
-from repro.core.driver import BSPRun, drive
+from repro.core.driver import BSPEngine, BSPRun, drive
 from repro.core.results import IterationStats
 from repro.errors import ConvergenceError
 from repro.gpusim import hooks
@@ -56,7 +56,7 @@ from repro.kernels.propagate import propagate_pass, segmented_sort_pass
 from repro.kernels.scheduler import bin_vertices_by_degree
 
 
-class GLPEngine:
+class GLPEngine(BSPEngine):
     """Run LP programs on one simulated GPU.
 
     Parameters
@@ -76,12 +76,6 @@ class GLPEngine:
     """
 
     name = "GLP"
-    #: Accepts ``initial_frontier``/``warm_labels`` for incremental
-    #: re-convergence (see ``docs/incremental_lp.md``).
-    supports_incremental = True
-    #: Accepts ``retry_policy``/``checkpoint_dir``/``resume_from``
-    #: (see ``docs/resilience.md``); CPU baselines do not.
-    supports_recovery = True
 
     def __init__(
         self,

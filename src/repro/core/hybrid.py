@@ -27,6 +27,7 @@ Design — persistent residency + CPU co-processing:
 from __future__ import annotations
 
 import contextlib
+import functools
 from dataclasses import dataclass
 from typing import List, Optional
 
@@ -35,9 +36,9 @@ import numpy as np
 from repro import obs
 from repro.baselines.cpumodel import CPUSpec, XEON_W2133
 from repro.core.api import LPProgram
-from repro.core.driver import BSPRun, drive
+from repro.core.driver import BSPEngine, BSPRun, drive
 from repro.core.results import IterationStats
-from repro.errors import ConvergenceError, DeviceFault, OutOfDeviceMemoryError
+from repro.errors import DeviceFault, OutOfDeviceMemoryError
 from repro.graph.csr import CSRGraph
 from repro.graph.partition import VertexPartition, partition_by_edge_count
 from repro.gpusim import hooks
@@ -55,6 +56,12 @@ from repro.kernels.mfl import NO_SCORE
 from repro.kernels.propagate import propagate_pass
 from repro.kernels.scheduler import bin_vertices_by_degree
 from repro.types import LABEL_DTYPE, WEIGHT_DTYPE
+
+
+#: Fraction of device memory a run may fill: :func:`run_auto` admits the
+#: all-resident engine below it, and the hybrid residency planner packs
+#: chunks up to it.
+RESIDENCY_FRACTION = 0.9
 
 
 @dataclass(frozen=True)
@@ -90,7 +97,7 @@ class HybridStats:
         return self.visible_transfer_seconds / self.elapsed_seconds
 
 
-class HybridEngine:
+class HybridEngine(BSPEngine):
     """CPU-GPU hybrid GLP engine (resident chunks + CPU overflow).
 
     Parameters
@@ -101,8 +108,6 @@ class HybridEngine:
         :class:`~repro.core.framework.GLPEngine`.
     cpu_spec:
         The host CPU that co-processes overflow vertices.
-    memory_safety:
-        Fraction of device memory the residency planner may use.
     frontier:
         Frontier execution policy for the *GPU resident range* (the CPU
         overflow share is always frontier-sparsified for safe programs).
@@ -112,12 +117,6 @@ class HybridEngine:
     """
 
     name = "GLP-Hybrid"
-    #: Accepts ``initial_frontier``/``warm_labels`` for incremental
-    #: re-convergence (see ``docs/incremental_lp.md``).
-    supports_incremental = True
-    #: Accepts ``retry_policy``/``checkpoint_dir``/``resume_from``
-    #: (see ``docs/resilience.md``); CPU baselines do not.
-    supports_recovery = True
 
     def __init__(
         self,
@@ -126,15 +125,11 @@ class HybridEngine:
         config: StrategyConfig = GLP_DEFAULT,
         spec: DeviceSpec = TITAN_V,
         cpu_spec: CPUSpec = XEON_W2133,
-        memory_safety: float = 0.9,
         frontier: "FrontierConfig | str" = "dense",
     ) -> None:
-        if not 0.0 < memory_safety <= 1.0:
-            raise ConvergenceError("memory_safety must be in (0, 1]")
         self.device = device if device is not None else Device(spec)
         self.config = config
         self.cpu_spec = cpu_spec
-        self.memory_safety = memory_safety
         self.frontier = resolve_frontier(frontier)
         self.last_stats: Optional[HybridStats] = None
 
@@ -150,7 +145,7 @@ class HybridEngine:
         # per-iteration delta-label buffers.
         always_resident = 5 * label_bytes
         budget = (
-            int(self.device.spec.global_mem_bytes * self.memory_safety)
+            int(self.device.spec.global_mem_bytes * RESIDENCY_FRACTION)
             - always_resident
         )
         if budget <= 0:
@@ -566,9 +561,89 @@ def _record_degradation(source: str, target: str, fault: Exception) -> None:
     obs.flight_dump("degradation", source=source, target=target, kind=kind)
 
 
-#: run kwargs understood by the CPU engines (the resilience options and
-#: anything device-specific are GPU-engine-only and must not be forwarded).
+#: run kwargs understood by every engine; the incremental and resilience
+#: options are :class:`~repro.core.driver.BSPEngine`-only.
 _CPU_RUN_KWARGS = ("max_iterations", "record_history", "stop_on_convergence")
+
+
+def rung_kwargs(engine, run_kwargs: dict, *, primary: bool = True) -> dict:
+    """The subset of ``run_kwargs`` that ``engine`` receives on its rung.
+
+    A :class:`~repro.core.driver.BSPEngine` takes them all (so a hybrid
+    rung still recovers transient faults under ``retry_policy``), except
+    that only the primary gets ``initial_frontier``: a fallback reruns the
+    full computation, so a fault can degrade the engine but never the
+    answer.  Any other engine takes only ``_CPU_RUN_KWARGS``.
+    """
+    if not isinstance(engine, BSPEngine):
+        return {k: v for k, v in run_kwargs.items() if k in _CPU_RUN_KWARGS}
+    if primary:
+        return run_kwargs
+    return {k: v for k, v in run_kwargs.items() if k != "initial_frontier"}
+
+
+def run_ladder(
+    primary,
+    attempt,
+    run_kwargs: dict,
+    *,
+    degrade: bool = True,
+    hybrid=None,
+):
+    """Run ``attempt`` on ``primary``, stepping down on device failure.
+
+    ``attempt(engine, kwargs)`` runs one rung with its :func:`rung_kwargs`.
+    On device OOM or an unrecovered :class:`~repro.errors.DeviceFault` the
+    run steps down to the hybrid engine (skipped when ``primary`` is one),
+    then to ``baselines.cpu_serial.SerialEngine``, which needs no device at
+    all.  Each step records the degradation and runs the next rung inside
+    a ``detector-degrade`` span.  With ``degrade=False``, or when no rung
+    is left, the fault is re-raised after an ``unrecovered-fault`` flight
+    dump.  Rungs are built only after a fault.
+
+    ``hybrid`` builds the hybrid rung; by default it gets the primary's
+    device spec with the default kernel config and a dense frontier.
+    Returns ``(result, engine)``.
+    """
+    from repro.baselines.cpu_serial import SerialEngine
+
+    try:
+        return attempt(primary, rung_kwargs(primary, run_kwargs)), primary
+    except (OutOfDeviceMemoryError, DeviceFault) as fault:
+        failure, source = fault, primary
+    rungs = []
+    if degrade:
+        if hybrid is None:
+            # Only device engines fault, so the primary has devices.
+            hybrid = functools.partial(
+                HybridEngine, spec=primary.devices[0].spec
+            )
+        if not isinstance(primary, HybridEngine):
+            rungs.append(hybrid)
+        rungs.append(SerialEngine)
+    for build in rungs:
+        rung = build()
+        kind = getattr(failure, "kind", "oom")
+        _record_degradation(source.name, rung.name, failure)
+        with obs.span(
+            "detector-degrade",
+            cat="resilience",
+            source=source.name,
+            target=rung.name,
+            kind=kind,
+        ):
+            try:
+                kwargs = rung_kwargs(rung, run_kwargs, primary=False)
+                return attempt(rung, kwargs), rung
+            except (OutOfDeviceMemoryError, DeviceFault) as fault:
+                failure, source = fault, rung
+    obs.flight_dump(
+        "unrecovered-fault",
+        engine=source.name,
+        kind=getattr(failure, "kind", "oom"),
+        error=type(failure).__name__,
+    )
+    raise failure
 
 
 def run_auto(
@@ -583,43 +658,31 @@ def run_auto(
 ):
     """Pick an engine by device footprint, degrading on device failure.
 
-    The ladder is GPU -> hybrid -> CPU: the all-resident
-    :class:`~repro.core.framework.GLPEngine` is chosen when the graph's
-    *actual* residency (see :func:`device_footprint`) fits, the
-    :class:`HybridEngine` when it does not, and on device OOM or an
-    unrecovered :class:`~repro.errors.DeviceFault` the run steps down to
-    the next rung (ultimately ``baselines.cpu_serial.SerialEngine``,
-    which needs no device at all).  Set ``degrade=False`` to restore the
-    raise-on-failure behavior.
+    The all-resident :class:`~repro.core.framework.GLPEngine` is chosen
+    when the graph's *actual* residency (see :func:`device_footprint`)
+    fits under :data:`RESIDENCY_FRACTION` of the device, the
+    :class:`HybridEngine` when it does not; the run then goes through
+    :func:`run_ladder` (GPU -> hybrid -> CPU), whose hybrid rung keeps
+    ``spec``/``config``/``frontier``.  Set ``degrade=False`` to raise on
+    device failure instead.
 
     Returns ``(result, engine)`` — the engine exposes mode-specific stats
     (e.g. ``HybridEngine.last_stats``).
     """
-    from repro.baselines.cpu_serial import SerialEngine
     from repro.core.framework import GLPEngine
 
+    hybrid = functools.partial(
+        HybridEngine, spec=spec, config=config, frontier=frontier
+    )
     needed = device_footprint(graph, program, frontier=frontier)
-    if needed <= spec.global_mem_bytes * 0.9:
-        engine = GLPEngine(spec=spec, config=config, frontier=frontier)
-        try:
-            return engine.run(graph, program, **run_kwargs), engine
-        except (OutOfDeviceMemoryError, DeviceFault) as fault:
-            if not degrade:
-                raise
-            _record_degradation(engine.name, HybridEngine.name, fault)
-
-    engine = HybridEngine(spec=spec, config=config, frontier=frontier)
-    try:
-        return engine.run(graph, program, **run_kwargs), engine
-    except (OutOfDeviceMemoryError, DeviceFault) as fault:
-        if not degrade:
-            raise
-        _record_degradation(engine.name, SerialEngine.name, fault)
-
-    engine = SerialEngine()
-    cpu_kwargs = {
-        key: value
-        for key, value in run_kwargs.items()
-        if key in _CPU_RUN_KWARGS
-    }
-    return engine.run(graph, program, **cpu_kwargs), engine
+    if needed <= spec.global_mem_bytes * RESIDENCY_FRACTION:
+        primary = GLPEngine(spec=spec, config=config, frontier=frontier)
+    else:
+        primary = hybrid()
+    return run_ladder(
+        primary,
+        lambda engine, kwargs: engine.run(graph, program, **kwargs),
+        run_kwargs,
+        degrade=degrade,
+        hybrid=hybrid,
+    )

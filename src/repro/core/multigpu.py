@@ -25,7 +25,7 @@ from typing import List, Optional
 import numpy as np
 
 from repro import obs
-from repro.core.driver import BSPRun, drive
+from repro.core.driver import BSPEngine, BSPRun, drive
 from repro.core.results import IterationStats
 from repro.errors import ConvergenceError
 from repro.graph.partition import balanced_edge_partition
@@ -49,15 +49,8 @@ from repro.kernels.scheduler import bin_vertices_by_degree
 from repro.types import LABEL_DTYPE, WEIGHT_DTYPE
 
 
-class MultiGPUEngine:
+class MultiGPUEngine(BSPEngine):
     """Bulk-synchronous LP over several simulated GPUs."""
-
-    #: Accepts ``initial_frontier=``/``warm_labels=`` for incremental
-    #: window slides (see :mod:`repro.pipeline.dynlp`).
-    supports_incremental = True
-    #: Accepts ``retry_policy``/``checkpoint_dir``/``resume_from``
-    #: (see ``docs/resilience.md``); CPU baselines do not.
-    supports_recovery = True
 
     def __init__(
         self,
@@ -69,10 +62,14 @@ class MultiGPUEngine:
     ) -> None:
         if num_gpus <= 0:
             raise ConvergenceError("num_gpus must be positive")
-        self.devices = [Device(spec, index=i) for i in range(num_gpus)]
+        self._devices = [Device(spec, index=i) for i in range(num_gpus)]
         self.config = config
         self.frontier = resolve_frontier(frontier)
         self.name = f"GLP-{num_gpus}GPU"
+
+    @property
+    def devices(self) -> List[Device]:
+        return self._devices
 
     @property
     def num_gpus(self) -> int:

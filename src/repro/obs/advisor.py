@@ -35,8 +35,9 @@ the kernel section still reconciles against the run's kernel time.
 Device-memory pressure likewise gets its own finding-level
 ``memory-capacity-bound`` verdict (with spill/shard hints) when a
 device's peak residency exceeds :data:`MEMORY_PRESSURE_THRESHOLD` of
-capacity — close enough to ``run_auto``'s 0.9 admission line that the
-next growth step would force a ladder degradation.
+capacity — close enough to the admission line
+(:data:`repro.core.hybrid.RESIDENCY_FRACTION`) that the next growth step
+would force a ladder degradation.
 """
 
 from __future__ import annotations
@@ -126,8 +127,9 @@ TRANSFER_SHARE_THRESHOLD = 0.10
 
 #: Peak-allocation share of device capacity above which a
 #: ``memory-capacity-bound`` finding fires (run_auto's ladder admits
-#: GLP residency up to 0.9 of capacity, so 0.8 flags runs one growth
-#: step away from a forced degradation).
+#: GLP residency up to ``repro.core.hybrid.RESIDENCY_FRACTION`` of
+#: capacity, so 0.8 flags runs one growth step away from a forced
+#: degradation).
 MEMORY_PRESSURE_THRESHOLD = 0.80
 
 
@@ -333,15 +335,13 @@ class AdvisorReport:
     @classmethod
     def from_engine(cls, engine) -> "AdvisorReport":
         """Diagnose whatever devices ``engine`` drives."""
-        devices = getattr(engine, "devices", None)
-        if devices is None:
-            device = getattr(engine, "device", None)
-            if device is None:
-                raise ObservabilityError(
-                    f"engine {engine!r} exposes no simulated device"
-                )
-            devices = [device]
-        return cls.from_devices(devices)
+        from repro.core.driver import BSPEngine
+
+        if not isinstance(engine, BSPEngine):
+            raise ObservabilityError(
+                f"engine {engine!r} exposes no simulated device"
+            )
+        return cls.from_devices(engine.devices)
 
     # ------------------------------------------------------------------
     @property

@@ -23,10 +23,10 @@ when something unrecoverable happens, :meth:`dump` captures a
 
 Bundles accumulate in memory (``recorder.bundles``) and are additionally
 written to ``dump_dir`` as ``postmortem-<seq>.json`` when a directory is
-configured (CLI: ``--flight-dir``).  The dump triggers live in
-:meth:`SlidingWindowDetector._run_detection` /
-:func:`repro.core.hybrid._record_degradation` — the two places a fault
-escapes the recovery layer.
+configured (CLI: ``--flight-dir``).  The dump triggers live in the
+degradation ladder, :func:`repro.core.hybrid.run_ladder` (each step and
+an unrecovered fault) — the one place a fault escapes the recovery
+layer.
 """
 
 from __future__ import annotations

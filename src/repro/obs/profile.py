@@ -165,15 +165,13 @@ class ProfileReport:
     @classmethod
     def from_engine(cls, engine) -> "ProfileReport":
         """Profile whatever devices ``engine`` drives."""
-        devices = getattr(engine, "devices", None)
-        if devices is None:
-            device = getattr(engine, "device", None)
-            if device is None:
-                raise ObservabilityError(
-                    f"engine {engine!r} exposes no simulated device"
-                )
-            devices = [device]
-        return cls.from_devices(devices)
+        from repro.core.driver import BSPEngine
+
+        if not isinstance(engine, BSPEngine):
+            raise ObservabilityError(
+                f"engine {engine!r} exposes no simulated device"
+            )
+        return cls.from_devices(engine.devices)
 
     # ------------------------------------------------------------------
     @property

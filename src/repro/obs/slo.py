@@ -253,7 +253,8 @@ class SLOReport:
 
 
 # ---------------------------------------------------------------------------
-# Spec loading (TOML with a minimal fallback parser for py<3.11).
+# TOML loading (with a minimal fallback parser for py<3.11), shared with
+# the benchmark tolerance config (:mod:`repro.bench.baseline`).
 
 
 def _labels_tuple(table: Dict[str, object]) -> Tuple[Tuple[str, str], ...]:
@@ -263,8 +264,9 @@ def _labels_tuple(table: Dict[str, object]) -> Tuple[Tuple[str, str], ...]:
 def _parse_toml_minimal(text: str) -> dict:
     """Tiny TOML subset parser: array-of-tables, dotted tables, scalars.
 
-    Mirrors the fallback convention of :mod:`repro.bench.baseline` —
-    enough for SLO specs on interpreters without :mod:`tomllib`.
+    Enough for ``benchmarks/serving_slo.toml`` and
+    ``benchmarks/baseline_config.toml`` on interpreters without
+    :mod:`tomllib`.
     """
     doc: Dict[str, object] = {}
     current: Dict[str, object] = doc
@@ -320,7 +322,8 @@ def _parse_toml_minimal(text: str) -> dict:
     return doc
 
 
-def _load_toml(text: str) -> dict:
+def load_toml(text: str) -> dict:
+    """Parse a TOML document with :mod:`tomllib`, or the fallback parser."""
     try:
         import tomllib
     except ModuleNotFoundError:  # pragma: no cover - py<3.11 fallback
@@ -330,7 +333,7 @@ def _load_toml(text: str) -> dict:
 
 def parse_slo_spec(text: str) -> List[SLO]:
     """Parse a TOML SLO spec document."""
-    doc = _load_toml(text)
+    doc = load_toml(text)
     version = doc.get("schema_version", SLO_SCHEMA_VERSION)
     if version != SLO_SCHEMA_VERSION:
         raise ObservabilityError(

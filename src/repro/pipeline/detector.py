@@ -17,6 +17,7 @@ import numpy as np
 
 from repro import obs
 from repro.algorithms.seeded import SeededFraudLP
+from repro.core.hybrid import rung_kwargs
 from repro.core.results import LPResult
 from repro.errors import PipelineError
 from repro.pipeline.window import WindowGraph
@@ -69,10 +70,11 @@ class ClusterDetector:
     min_cluster_size / max_cluster_size:
         Size band of "small susceptible clusters" handed downstream.
     retry_policy:
-        Serving-grade in-run recovery: forwarded to engines advertising
-        ``supports_recovery`` so transient device faults retry from the
-        BSP checkpoint instead of failing the whole slide (ladder
-        fallbacks and CPU baselines never see it).
+        Serving-grade in-run recovery: forwarded to every
+        :class:`~repro.core.driver.BSPEngine` — the configured engine and
+        a hybrid ladder rung alike — so transient device faults retry
+        from the BSP checkpoint instead of failing the whole slide (CPU
+        engines never see it).
     """
 
     def __init__(
@@ -106,27 +108,24 @@ class ClusterDetector:
 
         ``engine`` overrides the configured engine for this call only —
         the hook :class:`~repro.pipeline.incremental.SlidingWindowDetector`
-        uses to step down its degradation ladder without rebuilding the
-        detector.
+        uses to run each rung of the degradation ladder without
+        rebuilding the detector.
 
         ``initial_frontier`` is the incremental-slide affected set (see
-        :mod:`repro.pipeline.dynlp`); it is forwarded only to engines that
-        advertise ``supports_incremental``, so ladder fallbacks and
-        baselines silently run the usual full detection.
+        :mod:`repro.pipeline.dynlp`); like ``retry_policy`` it reaches only
+        a :class:`~repro.core.driver.BSPEngine` (see
+        :func:`repro.core.hybrid.rung_kwargs`), so CPU engines silently run
+        the usual full detection.
         """
         if not seeds:
             raise PipelineError("seed store contributed no seeds to window")
         run_engine = engine if engine is not None else self.engine
         started = time.perf_counter()
         program = SeededFraudLP(seeds, max_hops=self.max_hops)
-        run_kwargs: Dict[str, object] = {}
-        if initial_frontier is not None and getattr(
-            run_engine, "supports_incremental", False
-        ):
+        run_kwargs: Dict[str, object] = {"max_iterations": self.max_iterations}
+        if initial_frontier is not None:
             run_kwargs["initial_frontier"] = initial_frontier
-        if self.retry_policy is not None and getattr(
-            run_engine, "supports_recovery", False
-        ):
+        if self.retry_policy is not None:
             run_kwargs["retry_policy"] = self.retry_policy
         with obs.span(
             "lp-detect",
@@ -135,10 +134,7 @@ class ClusterDetector:
             seeds=len(seeds),
         ):
             lp_result = run_engine.run(
-                window.graph,
-                program,
-                max_iterations=self.max_iterations,
-                **run_kwargs,
+                window.graph, program, **rung_kwargs(run_engine, run_kwargs)
             )
         labels = lp_result.labels
 

@@ -28,6 +28,8 @@ from typing import Dict, Optional, Set, Tuple
 import numpy as np
 
 from repro import obs
+from repro.core.driver import BSPEngine
+from repro.core.hybrid import run_ladder
 from repro.errors import PipelineError
 from repro.graph.builder import from_edge_arrays
 from repro.pipeline.detector import ClusterDetector, DetectionResult
@@ -446,9 +448,7 @@ class SlidingWindowDetector:
         if self.incremental and diff is not None and self._previous is not None:
             engine = self.detector.engine
             engine_ok = (
-                getattr(engine, "supports_incremental", False)
-                and getattr(engine, "frontier", None) is not None
-                and engine.frontier.enabled
+                isinstance(engine, BSPEngine) and engine.frontier.enabled
             )
             with obs.span(
                 "incremental-plan", cat="pipeline", changed=diff.num_changed
@@ -472,10 +472,16 @@ class SlidingWindowDetector:
             )
             m.observe("pipeline_affected_vertices", plan.num_affected)
             m.set_gauge("pipeline_affected_ratio", plan.affected_ratio)
-        result = self._run_detection(
-            window,
-            seeds,
-            initial_frontier=plan.frontier if plan.incremental else None,
+        # Only the primary engine gets the affected set: ladder rungs rerun
+        # the full warm detection, so a device fault mid-incremental-slide
+        # can degrade the engine but never the answer (no stale labels).
+        result, _ = run_ladder(
+            self.detector.engine,
+            lambda engine, kwargs: self.detector.detect(
+                window, seeds, engine=engine, **kwargs
+            ),
+            {"initial_frontier": plan.frontier} if plan.incremental else {},
+            degrade=self.degrade,
         )
         self._previous = (window, result.lp_result.labels)
         self._residual_frontier = result.lp_result.final_frontier
@@ -495,78 +501,3 @@ class SlidingWindowDetector:
             clusters=len(result.clusters),
         )
         return window, result
-
-    # ------------------------------------------------------------------
-    def _run_detection(
-        self,
-        window: WindowGraph,
-        seeds: Dict[int, int],
-        initial_frontier: Optional[np.ndarray] = None,
-    ) -> DetectionResult:
-        """Detect, stepping down the engine ladder on device failure.
-
-        Only the primary attempt receives ``initial_frontier``: ladder
-        fallbacks rerun the *full* warm detection, so a device fault
-        mid-incremental-slide can degrade the engine but never the
-        answer (no stale labels).
-        """
-        from repro.core.hybrid import _record_degradation
-        from repro.errors import DeviceFault, OutOfDeviceMemoryError
-
-        try:
-            return self.detector.detect(
-                window, seeds, initial_frontier=initial_frontier
-            )
-        except (OutOfDeviceMemoryError, DeviceFault) as fault:
-            source = getattr(self.detector.engine, "name", "engine")
-            if not self.degrade:
-                obs.flight_dump(
-                    "unrecovered-fault",
-                    engine=source,
-                    kind=getattr(fault, "kind", "oom"),
-                    error=type(fault).__name__,
-                )
-                raise
-            for fallback in self._fallback_engines():
-                _record_degradation(source, fallback.name, fault)
-                with obs.span(
-                    "detector-degrade",
-                    cat="resilience",
-                    source=source,
-                    target=fallback.name,
-                    kind=getattr(fault, "kind", "oom"),
-                ):
-                    try:
-                        return self.detector.detect(
-                            window, seeds, engine=fallback
-                        )
-                    except (OutOfDeviceMemoryError, DeviceFault) as next_fault:
-                        fault = next_fault
-                        source = fallback.name
-            obs.flight_dump(
-                "unrecovered-fault",
-                engine=source,
-                kind=getattr(fault, "kind", "oom"),
-                error=type(fault).__name__,
-            )
-            raise fault
-
-    def _fallback_engines(self) -> list:
-        """The remaining ladder rungs below the configured engine.
-
-        Hybrid handles graphs the all-resident engine cannot; the serial
-        CPU baseline needs no device at all, so the ladder always ends on
-        an engine injected faults cannot reach.
-        """
-        from repro.baselines.cpu_serial import SerialEngine
-        from repro.core.hybrid import HybridEngine
-
-        primary = self.detector.engine
-        fallbacks: list = []
-        if not isinstance(primary, HybridEngine):
-            spec = getattr(getattr(primary, "device", None), "spec", None)
-            fallbacks.append(
-                HybridEngine(spec=spec) if spec is not None else HybridEngine()
-            )
-        fallbacks.append(SerialEngine())
-        return fallbacks

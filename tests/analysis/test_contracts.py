@@ -1,6 +1,6 @@
 """Contract checker tests: shipped interfaces clean, seeded fixtures flagged.
 
-The import-mode checks walk the real engine/program/registry/CLI surface
+The import-mode checks walk the real program/registry/CLI surface
 and must come back empty; the AST-mode fixture pins each rule to the
 offending ``def`` line.
 """
@@ -9,8 +9,10 @@ from __future__ import annotations
 
 import os
 
+import pytest
+
 from repro.analysis import check_contracts
-from repro.analysis.contracts import CAPABILITY_KWARGS, HOOK_ARITY
+from repro.analysis.contracts import HOOK_ARITY
 
 HERE = os.path.dirname(__file__)
 FIXTURES = os.path.join(HERE, "fixtures")
@@ -32,44 +34,13 @@ def _line_of(name, needle, occurrence=1):
     raise AssertionError(f"{needle!r} not found in {name}")
 
 
-def test_missing_capability_kwargs_are_flagged_once_each():
-    report = _fixture_report("bad_engine_capability.py")
-    missing = [
-        f for f in report.findings if f.rule == "contract-missing-capability-kwarg"
-    ]
-    # Both flags are set, so all four implied kwargs are missing.
-    expected = sum(len(kwargs) for kwargs in CAPABILITY_KWARGS.values())
-    assert len(missing) == expected == 4
-    lineno = _line_of("bad_engine_capability.py", "def run(self, graph, program")
-    for finding in missing:
-        assert finding.location.endswith(f"bad_engine_capability.py:{lineno}")
-        assert "BadIncrementalEngine" in finding.message
-    flagged_kwargs = {
-        kwarg
-        for kwargs in CAPABILITY_KWARGS.values()
-        for kwarg in kwargs
-        if any(kwarg in f.message for f in missing)
-    }
-    assert flagged_kwargs == {
-        "initial_frontier",
-        "warm_labels",
-        "retry_policy",
-        "resume_from",
-    }
-
-
-def test_compliant_engine_in_same_fixture_is_not_flagged():
-    report = _fixture_report("bad_engine_capability.py")
-    assert not any("GoodEngine" in f.message for f in report.findings)
-
-
 def test_hook_arity_mismatch_is_flagged():
-    report = _fixture_report("bad_engine_capability.py")
+    report = _fixture_report("bad_program_hook.py")
     (finding,) = [
         f for f in report.findings if f.rule == "contract-hook-signature-mismatch"
     ]
-    lineno = _line_of("bad_engine_capability.py", "def score(self, vertex_ids")
-    assert finding.location.endswith(f"bad_engine_capability.py:{lineno}")
+    lineno = _line_of("bad_program_hook.py", "def score(self, vertex_ids")
+    assert finding.location.endswith(f"bad_program_hook.py:{lineno}")
     assert "score" in finding.message
     # The correctly-spelled update_vertices override stays clean.
     assert "update_vertices" not in finding.message
@@ -111,3 +82,32 @@ def test_tampered_registry_subscriber_is_caught(monkeypatch):
         f for f in report.findings if f.rule == "contract-registry-callback-mismatch"
     ]
     assert any("on_free" in f.message for f in mismatches)
+
+
+def test_cli_device_engine_must_be_a_bsp_engine(monkeypatch):
+    from repro import baselines
+    from repro.baselines.cpu_serial import SerialEngine
+
+    monkeypatch.setattr(baselines, "GSortEngine", SerialEngine)
+    report = check_contracts()
+    (finding,) = report.findings
+    assert finding.rule == "contract-cli-capability-mismatch"
+    assert "'gsort'" in finding.message
+
+
+def test_bsp_engine_missing_a_driver_hook_fails_at_construction():
+    """A device engine without ``_attempt`` cannot be built, so
+    ``drive`` never meets it."""
+    from repro.core.driver import BSPEngine, drive
+
+    class NoAttempt(BSPEngine):
+        run = drive
+
+        def _initial_carry(self, initial):
+            return {}
+
+        def _finish(self, run):
+            return None
+
+    with pytest.raises(TypeError, match="_attempt"):
+        NoAttempt()

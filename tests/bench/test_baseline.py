@@ -16,7 +16,6 @@ from repro.bench.baseline import (
     DEFAULT_TOLERANCES,
     EXACT_FIELDS,
     SCENARIOS,
-    _parse_toml_minimal,
     baseline_path,
     compare_against_baselines,
     compare_payloads,
@@ -167,6 +166,8 @@ class TestCompare:
 
 class TestToleranceConfig:
     def test_minimal_parser_matches_shape(self):
+        from repro.obs.slo import _parse_toml_minimal
+
         doc = _parse_toml_minimal(
             "# comment\n"
             "[default]\n"
@@ -183,12 +184,11 @@ class TestToleranceConfig:
         assert doc["default"]["count"] == 3
         assert doc["scenarios"]["warm_windows"]["rel_tol_counters"] == 0.1
 
-    def test_minimal_parser_agrees_with_tomllib(self):
-        tomllib = pytest.importorskip("tomllib")
-        from pathlib import Path
-
-        text = Path("benchmarks/baseline_config.toml").read_text()
-        assert _parse_toml_minimal(text) == tomllib.loads(text)
+    def test_unparseable_config_raises_benchmark_error(self, tmp_path):
+        path = tmp_path / "bad.toml"
+        path.write_text("rel_tol_seconds\n")
+        with pytest.raises(BenchmarkError, match="unparseable"):
+            load_tolerance_config(path)
 
     def test_repo_config_loads_with_overrides(self):
         config = load_tolerance_config("benchmarks/baseline_config.toml")

@@ -1,7 +1,7 @@
 """Incremental re-convergence across the three device engines.
 
-The contract under test (see ``docs/incremental_lp.md``): every engine
-that advertises ``supports_incremental`` accepts an
+The contract under test (see ``docs/incremental_lp.md``): every
+:class:`~repro.core.driver.BSPEngine` accepts an
 ``initial_frontier`` — the affected vertex set of a window slide — and
 re-converges to the *bitwise identical* labeling of the dense warm
 recompute while charging only the frontier's edges.  Pinned seed
@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 
 from repro import ClassicLP, GLPEngine, LayeredLP, SeededFraudLP
+from repro.core.driver import BSPEngine
 from repro.core.hybrid import HybridEngine
 from repro.core.multigpu import MultiGPUEngine
 from repro.errors import ConvergenceError, KernelError
@@ -86,7 +87,7 @@ class TestIncrementalVsFull:
     @pytest.mark.parametrize("name", sorted(ENGINE_FACTORIES))
     def test_bitwise_identity_with_fewer_edges(self, name, slide):
         factory = ENGINE_FACTORIES[name]
-        assert factory().supports_incremental
+        assert isinstance(factory(), BSPEngine)
 
         prev = factory().run(
             slide["previous"].graph,

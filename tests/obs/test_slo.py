@@ -87,9 +87,16 @@ class TestSpecParsing:
         ratio = slos["fallback-rate"]
         assert ratio.numerator_labels == (("mode", "full"),)
 
-    def test_minimal_parser_matches_tomllib(self):
+    @pytest.mark.parametrize(
+        "name", ["serving_slo.toml", "baseline_config.toml"]
+    )
+    def test_minimal_parser_matches_tomllib(self, name):
+        """The fallback parser reads both shipped TOML files (the SLO spec
+        and the bench tolerance config) exactly as :mod:`tomllib` does."""
         tomllib = pytest.importorskip("tomllib")
-        assert _parse_toml_minimal(SPEC) == tomllib.loads(SPEC)
+        path = Path(__file__).resolve().parents[2] / "benchmarks" / name
+        text = path.read_text()
+        assert _parse_toml_minimal(text) == tomllib.loads(text)
 
     def test_minimal_parser_scalars_and_comments(self):
         doc = _parse_toml_minimal(

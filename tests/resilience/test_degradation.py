@@ -6,6 +6,7 @@ import pytest
 from repro import ClassicLP, GLPEngine, SeededFraudLP, obs
 from repro.baselines.cpu_serial import SerialEngine
 from repro.core.hybrid import HybridEngine, device_footprint, run_auto
+from repro.core.multigpu import MultiGPUEngine
 from repro.errors import OutOfDeviceMemoryError
 from repro.graph.generators import planted_partition_graph
 from repro.gpusim.config import TITAN_V
@@ -15,7 +16,7 @@ from repro.pipeline.transactions import (
     TransactionStream,
     TransactionStreamConfig,
 )
-from repro.resilience import FaultPlan, inject
+from repro.resilience import FaultPlan, RetryPolicy, inject
 
 
 @pytest.fixture(scope="module")
@@ -180,3 +181,62 @@ class TestDetectorDegradation:
         assert np.array_equal(
             result.lp_result.labels, dresult.lp_result.labels
         )
+
+
+def spy_run(monkeypatch, engine_cls, calls):
+    """Record ``(engine, sorted run kwarg names)`` for each ``run`` call."""
+    real = engine_cls.run
+
+    def run(self, graph, program, **kwargs):
+        calls.append((self, sorted(kwargs)))
+        return real(self, graph, program, **kwargs)
+
+    monkeypatch.setattr(engine_cls, "run", run)
+
+
+class TestLadderRungs:
+    def test_multigpu_primary_degrades_onto_its_own_device_spec(
+        self, stream, monkeypatch
+    ):
+        """Regression: the hybrid rung was built on a default Titan V
+        (12 GiB) because the multi-GPU engine has no ``.device``."""
+        spec = TITAN_V.with_memory(150_000)
+        calls = []
+        spy_run(monkeypatch, HybridEngine, calls)
+        detector = SlidingWindowDetector(
+            stream, ClusterDetector(MultiGPUEngine(2, spec=spec))
+        )
+        # The multi-GPU engine allocates nothing, so fault a launch.
+        with inject(FaultPlan.parse("kernel@1")):
+            _, result = detector.start(0, 6)
+        ((hybrid, _),) = calls
+        assert result.lp_result.engine == HybridEngine.name
+        assert hybrid.device.spec.global_mem_bytes == 150_000
+
+    def test_each_rung_receives_its_own_run_kwargs(
+        self, stream, monkeypatch
+    ):
+        """Primary: ``initial_frontier`` and ``retry_policy``; hybrid:
+        ``retry_policy`` only (it still recovers transient faults);
+        serial: neither."""
+        detector = SlidingWindowDetector(
+            stream,
+            ClusterDetector(
+                GLPEngine(frontier="auto"), retry_policy=RetryPolicy()
+            ),
+            incremental=True,
+        )
+        detector.start(0, 6)
+        calls = []
+        for engine_cls in (GLPEngine, HybridEngine, SerialEngine):
+            spy_run(monkeypatch, engine_cls, calls)
+        with inject(FaultPlan.parse("oom@1x999999")):
+            detector.slide()
+        assert detector.last_plan.incremental
+        received = {type(engine).__name__: names for engine, names in calls}
+        assert received == {
+            "GLPEngine": ["initial_frontier", "max_iterations", "retry_policy"],
+            "HybridEngine": ["max_iterations", "retry_policy"],
+            "SerialEngine": ["max_iterations"],
+        }
+        assert len(calls) == 3

@@ -211,7 +211,6 @@ class TestCheckCommand:
             "lint-non-atomic-rmw",
             "dataflow-oob-possible",
             "dataflow-nonmonotone-update",
-            "contract-missing-capability-kwarg",
             "contract-hook-signature-mismatch",
             "consistency-metric-drift",
         ):
