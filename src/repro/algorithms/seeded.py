@@ -40,7 +40,14 @@ class SeededFraudLP(LPProgram):
     ) -> None:
         if not seeds:
             raise ProgramError("at least one seed is required")
-        if any(label < 0 for label in seeds.values()):
+        #: Seed vertex ids and their labels, in ``seeds`` order.
+        self.seed_vertices = np.fromiter(
+            seeds.keys(), dtype=np.int64, count=len(seeds)
+        )
+        self.seed_labels = np.fromiter(
+            seeds.values(), dtype=LABEL_DTYPE, count=len(seeds)
+        )
+        if self.seed_labels.min() < 0:
             raise ProgramError("seed labels must be non-negative")
         if max_hops is not None and max_hops <= 0:
             raise ProgramError("max_hops must be positive when given")
@@ -51,23 +58,15 @@ class SeededFraudLP(LPProgram):
         # pinning is per-vertex; max_hops only bounds the iteration count),
         # so frontier engines may sparsify.
         self.frontier_safe = True
-        self._seed_vertices: np.ndarray = np.empty(0, dtype=np.int64)
-        self._seed_labels: np.ndarray = np.empty(0, dtype=LABEL_DTYPE)
 
     def init_labels(self, graph: CSRGraph) -> np.ndarray:
         labels = np.full(graph.num_vertices, NO_LABEL, dtype=LABEL_DTYPE)
-        self._seed_vertices = np.fromiter(
-            self.seeds.keys(), dtype=np.int64, count=len(self.seeds)
-        )
-        if self._seed_vertices.size and (
-            self._seed_vertices.min() < 0
-            or self._seed_vertices.max() >= graph.num_vertices
+        if (
+            self.seed_vertices.min() < 0
+            or self.seed_vertices.max() >= graph.num_vertices
         ):
             raise ProgramError("seed vertex ids out of range")
-        self._seed_labels = np.fromiter(
-            self.seeds.values(), dtype=LABEL_DTYPE, count=len(self.seeds)
-        )
-        labels[self._seed_vertices] = self._seed_labels
+        labels[self.seed_vertices] = self.seed_labels
         return labels
 
     def load_neighbor(self, vertex_ids, neighbor_ids, neighbor_labels, edge_weights):
@@ -86,7 +85,7 @@ class SeededFraudLP(LPProgram):
         result = current_labels.copy()
         adopt = np.isfinite(best_scores) & (best_scores > 0)
         result[vertex_ids[adopt]] = best_labels[adopt]
-        result[self._seed_vertices] = self._seed_labels
+        result[self.seed_vertices] = self.seed_labels
         return result
 
     def pinned_vertices(self, graph: CSRGraph) -> np.ndarray:
@@ -96,7 +95,8 @@ class SeededFraudLP(LPProgram):
         windows, where carried hub-product seeds would otherwise stream
         their whole neighbor lists every iteration for nothing.
         """
-        return np.unique(self._seed_vertices)
+        # Dict keys are unique, so sorting them is their unique set.
+        return np.sort(self.seed_vertices)
 
     def converged(self, old_labels, new_labels, iteration):
         if self.max_hops is not None and iteration >= self.max_hops:
@@ -107,7 +107,13 @@ class SeededFraudLP(LPProgram):
     def clusters(self, labels: np.ndarray) -> Dict[int, np.ndarray]:
         """Group labeled vertices by cluster: ``{cluster: vertex_ids}``."""
         labeled = np.flatnonzero(labels != NO_LABEL)
-        result: Dict[int, np.ndarray] = {}
-        for cluster in np.unique(labels[labeled]):
-            result[int(cluster)] = labeled[labels[labeled] == cluster]
-        return result
+        if labeled.size == 0:
+            return {}
+        # One stable sort by cluster keeps each group's ids ascending.
+        order = np.argsort(labels[labeled], kind="stable")
+        sorted_clusters = labels[labeled][order]
+        starts = np.flatnonzero(sorted_clusters[1:] != sorted_clusters[:-1])
+        starts += 1
+        groups = np.split(labeled[order], starts)
+        firsts = np.concatenate(([0], starts))
+        return dict(zip(sorted_clusters[firsts].tolist(), groups))

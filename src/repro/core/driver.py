@@ -41,7 +41,7 @@ from repro import obs
 from repro.core.api import LPProgram, validate_program
 from repro.core.instrument import observe_iteration, observe_run
 from repro.core.results import IterationStats, LPResult
-from repro.errors import ConvergenceError, DeviceFault
+from repro.errors import ConvergenceError, DeviceFault, ProgramError
 from repro.graph.csr import CSRGraph
 from repro.kernels.frontier import coerce_initial_frontier
 
@@ -105,11 +105,24 @@ class BSPRun:
 def _resolve_pinned(
     program: LPProgram, graph: CSRGraph
 ) -> Optional[np.ndarray]:
-    """The program's pinned-vertex set as sorted unique int64 (or None)."""
+    """The program's pinned-vertex set as sorted unique int64 (or None).
+
+    Built through a |V| bool mask, so ids are range-checked first: a
+    negative id would silently index the mask from its end.
+    """
     pinned = program.pinned_vertices(graph)
     if pinned is None:
         return None
-    return np.unique(np.asarray(pinned, dtype=np.int64))
+    pinned = np.asarray(pinned, dtype=np.int64)
+    if pinned.size and (
+        pinned.min() < 0 or pinned.max() >= graph.num_vertices
+    ):
+        raise ProgramError(
+            f"pinned vertex ids must be in [0, {graph.num_vertices})"
+        )
+    mask = np.zeros(graph.num_vertices, dtype=bool)
+    mask[pinned] = True
+    return np.flatnonzero(mask)
 
 
 def _coerce_warm_labels(

@@ -21,11 +21,8 @@ import numpy as np
 from repro.gpusim import hooks
 from repro.gpusim.config import DeviceSpec
 from repro.gpusim.counters import PerfCounters
-from repro.gpusim.memory import (
-    count_sector_transactions,
-    default_warp_ids,
-    pair_order,
-)
+from repro.gpusim.memory import count_sector_transactions, default_warp_ids
+from repro.pairsort import pair_order
 
 
 def serialization_cost(

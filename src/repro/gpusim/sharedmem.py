@@ -21,7 +21,8 @@ from repro.errors import SharedMemoryError
 from repro.gpusim import hooks
 from repro.gpusim.config import DeviceSpec
 from repro.gpusim.counters import PerfCounters
-from repro.gpusim.memory import default_warp_ids, pair_order
+from repro.gpusim.memory import default_warp_ids
+from repro.pairsort import pair_order
 
 
 def bank_conflict_replays(

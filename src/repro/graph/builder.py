@@ -14,6 +14,7 @@ import numpy as np
 
 from repro.errors import GraphError
 from repro.graph.csr import CSRGraph
+from repro.pairsort import pair_order
 from repro.types import VERTEX_DTYPE, WEIGHT_DTYPE
 
 
@@ -177,14 +178,21 @@ class GraphBuilder:
                 weights = np.concatenate([weights, weights])
 
         if drop_self_loops and dst.size:
+            # A self-loop and its mirror are dropped together, so the two
+            # symmetrized halves stay aligned edge for edge.
             keep = dst != src
-            dst, src = dst[keep], src[keep]
-            if weights is not None:
-                weights = weights[keep]
+            if not keep.all():
+                dst, src = dst[keep], src[keep]
+                if weights is not None:
+                    weights = weights[keep]
 
+        # Deduped, sorted rows of a symmetrized edge list equal the
+        # transpose's rows; only summed weights can differ from their
+        # mirrors, when duplicates were added in another order.
+        self_transpose = symmetrize and dedup and sort_neighbors
         if dst.size:
             # Sort by (dst, src); stable so weight aggregation is exact.
-            order = np.lexsort((src, dst)) if sort_neighbors else np.argsort(
+            order = pair_order(dst, src) if sort_neighbors else np.argsort(
                 dst, kind="stable"
             )
             dst, src = dst[order], src[order]
@@ -201,19 +209,43 @@ class GraphBuilder:
                     weights = np.bincount(
                         group, weights=weights, minlength=int(group[-1]) + 1
                     ).astype(WEIGHT_DTYPE)
+                    if self_transpose:
+                        self_transpose = _mirror_weights_match(
+                            weights, group, order
+                        )
                 dst, src = dst[new_edge], src[new_edge]
 
         counts = np.bincount(dst, minlength=n) if n else np.empty(0, dtype=np.int64)
         offsets = np.zeros(n + 1, dtype=VERTEX_DTYPE)
         if n:
             np.cumsum(counts, out=offsets[1:])
-        return CSRGraph(
+        graph = CSRGraph(
             offsets=offsets, indices=src, weights=weights, name=name
         )
+        if self_transpose:
+            object.__setattr__(graph, "_self_transpose", True)
+        return graph
 
     def id_mapping(self) -> Optional[Dict[object, int]]:
         """Original-id → compact-id mapping (``None`` in fixed-size mode)."""
         return dict(self._id_map) if self._id_map is not None else None
+
+
+def _mirror_weights_match(
+    weights: np.ndarray, group: np.ndarray, order: np.ndarray
+) -> bool:
+    """Whether every deduped slot's weight equals its mirror slot's, bitwise.
+
+    ``order`` sorted a symmetrized edge list whose second half mirrors its
+    first half edge for edge, and ``group`` maps each sorted position to
+    its deduped slot.  Input edge ``k`` and its mirror ``k + half`` land in
+    mirror slots, so one scatter finds every slot pair in O(E).
+    """
+    slot = np.empty_like(group)
+    slot[order] = group
+    half = slot.size // 2
+    bits = weights.view(np.int64)
+    return bool(np.array_equal(bits[slot[:half]], bits[slot[half:]]))
 
 
 def from_edge_arrays(

@@ -49,6 +49,13 @@ class CSRGraph:
     _reversed_cache: Optional["CSRGraph"] = field(
         init=False, repr=False, compare=False, default=None
     )
+    #: Set by :class:`~repro.graph.builder.GraphBuilder` when it has proven
+    #: the graph equal to its transpose, bit for bit.  A flag rather than
+    #: ``_reversed_cache = self``: that self-reference is a cycle, which
+    #: keeps every such graph alive until the cyclic GC runs.
+    _self_transpose: bool = field(
+        init=False, repr=False, compare=False, default=False
+    )
 
     def __post_init__(self) -> None:
         offsets = np.ascontiguousarray(self.offsets, dtype=VERTEX_DTYPE)
@@ -180,8 +187,11 @@ class CSRGraph:
 
         The result is memoized on the instance: frontier engines call this
         every run to find the out-neighbors of changed vertices, and the
-        graph is immutable, so the O(V + E) transpose is paid once.
+        graph is immutable, so the O(V + E) transpose is paid once.  A
+        graph the builder proved to be its own transpose returns itself.
         """
+        if self._self_transpose:
+            return self
         if self._reversed_cache is not None:
             return self._reversed_cache
         sources = self.edge_sources()

@@ -18,7 +18,7 @@ import numpy as np
 
 from repro.core.api import LPProgram
 from repro.graph.csr import CSRGraph
-from repro.gpusim.memory import pair_order
+from repro.pairsort import pair_order
 from repro.types import LABEL_DTYPE, VERTEX_DTYPE, WEIGHT_DTYPE
 
 #: Score assigned to vertices with no incoming edges ("keep your label").

@@ -139,15 +139,16 @@ class ClusterDetector:
         labels = lp_result.labels
 
         clusters: List[DetectedCluster] = []
-        seed_vertices = np.fromiter(seeds.keys(), dtype=np.int64, count=len(seeds))
-        seed_labels = np.fromiter(seeds.values(), dtype=np.int64, count=len(seeds))
         for label, members in program.clusters(labels).items():
             if not self.min_cluster_size <= members.size <= self.max_cluster_size:
                 continue
             users = window.user_of_window_vertex(members)
             users = users[users >= 0]
             num_seeds = int(
-                np.isin(seed_vertices[seed_labels == label], members).sum()
+                np.isin(
+                    program.seed_vertices[program.seed_labels == label],
+                    members,
+                ).sum()
             )
             clusters.append(
                 DetectedCluster(

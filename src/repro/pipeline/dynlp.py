@@ -132,12 +132,14 @@ class WindowDiff:
         return self.num_changed / self.num_pairs_after
 
     def endpoint_ids(self) -> Tuple[np.ndarray, np.ndarray]:
-        """Distinct (global user ids, global product ids) the diff touches."""
+        """(global user ids, global product ids) of every changed pair.
+
+        One entry per changed pair, so ids repeat and are not sorted.
+        """
         keys = np.concatenate(
             [self.added_keys, self.removed_keys, self.reweighted_keys]
         )
-        users, products = unpack_pairs(keys)
-        return np.unique(users), np.unique(products)
+        return unpack_pairs(keys)
 
 
 def compute_window_diff(
@@ -149,8 +151,16 @@ def compute_window_diff(
     """Diff two sorted-unique packed-pair count tables."""
     before_keys = np.asarray(before_keys, dtype=np.int64)
     after_keys = np.asarray(after_keys, dtype=np.int64)
-    in_before = np.isin(after_keys, before_keys, assume_unique=True)
-    in_after = np.isin(before_keys, after_keys, assume_unique=True)
+    # One stable merge of the two sorted runs (linear for timsort): a key
+    # in both tables lands on adjacent positions, its ``before`` copy first.
+    both = np.concatenate([before_keys, after_keys])
+    order = np.argsort(both, kind="stable")
+    merged = both[order]
+    common = np.flatnonzero(merged[1:] == merged[:-1])
+    in_after = np.zeros(before_keys.size, dtype=bool)
+    in_after[order[common]] = True
+    in_before = np.zeros(after_keys.size, dtype=bool)
+    in_before[order[common + 1] - before_keys.size] = True
     # Both key arrays are sorted, so the surviving (common) keys align.
     common_after = after_counts[in_before]
     common_before = before_counts[in_after]
@@ -173,21 +183,22 @@ def map_previous_vertices(
     """Map previous-window vertex ids into the current window.
 
     Users map through their global ids, products through theirs; vertices
-    absent from the current window are dropped.  Returns sorted unique
-    current-window ids.
+    absent from the current window are dropped.  Returns current-window
+    ids in input order (users first), unsorted.
     """
     vertices = np.asarray(vertices, dtype=np.int64)
     if vertices.size == 0:
         return np.empty(0, dtype=np.int64)
     user_part = vertices[vertices < previous.num_users]
     product_part = vertices[vertices >= previous.num_users]
-    mapped = [
-        _map_users(previous.users[user_part], current),
-        _map_products(
-            previous.products[product_part - previous.num_users], current
-        ),
-    ]
-    return np.unique(np.concatenate(mapped))
+    return np.concatenate(
+        [
+            _map_users(previous.users[user_part], current),
+            _map_products(
+                previous.products[product_part - previous.num_users], current
+            ),
+        ]
+    )
 
 
 def _map_users(user_ids: np.ndarray, current: WindowGraph) -> np.ndarray:
@@ -217,12 +228,16 @@ def diff_endpoint_vertices(
     current vertex and are dropped — there is nothing left to relabel
     (DynLP's delete rule degenerates to "nothing to invalidate" here
     because warm-started labels are pinned seeds, not derived state).
+    One id per changed pair endpoint: ids repeat and are not sorted.
     """
     users, products = diff.endpoint_ids()
-    return np.unique(
-        np.concatenate(
-            [_map_users(users, current), _map_products(products, current)]
-        )
+    # Changed keys are sorted by user, not product; sorted needles make the
+    # product binary search several times faster.
+    return np.concatenate(
+        [
+            _map_users(users, current),
+            _map_products(np.sort(products), current),
+        ]
     )
 
 
@@ -262,27 +277,25 @@ def affected_vertices(
     initial sparse iteration — see the module docstring for why it covers
     every vertex the dense warm pass could change.
     """
-    labeled_vertices = np.unique(
-        np.asarray(labeled_vertices, dtype=np.int64)
-    )
-    candidates = np.union1d(
-        map_previous_vertices(residual_frontier, previous, current),
-        diff_endpoint_vertices(diff, current),
-    )
-    # Label-boundary filter (host-side, like the window build itself):
-    # expanding the labeled set through the reversed CSR costs
-    # O(vol(labeled)) — small, since labels live only on fraud clusters.
-    if labeled_vertices.size and candidates.size:
-        batch = mfl.expand_edges(current.graph.reversed(), labeled_vertices)
-        boundary = np.unique(batch.neighbor_ids.astype(np.int64, copy=False))
-        frontier = np.intersect1d(
-            candidates, boundary, assume_unique=True
-        )
-        frontier = frontier[
-            ~np.isin(frontier, labeled_vertices, assume_unique=True)
-        ]
-    else:
-        frontier = np.empty(0, dtype=np.int64)
+    graph = current.graph
+    # Vertex sets are |V| bool masks: set algebra is a linear pass, where
+    # sorting the ids (``np.unique`` and friends) costs far more.
+    labeled = np.zeros(graph.num_vertices, dtype=bool)
+    labeled[np.asarray(labeled_vertices, dtype=np.int64)] = True
+    is_candidate = np.zeros(graph.num_vertices, dtype=bool)
+    is_candidate[
+        map_previous_vertices(residual_frontier, previous, current)
+    ] = True
+    is_candidate[diff_endpoint_vertices(diff, current)] = True
+    candidates = np.flatnonzero(is_candidate)
+    # Label-boundary filter: a candidate is on the boundary when one of its
+    # in-neighbors (its forward CSR row, the MFL input) is labeled.
+    # Gathering over the candidates' rows costs O(vol(candidates)).
+    unlabeled = candidates[~labeled[candidates]]
+    batch = mfl.expand_edges(graph, unlabeled)
+    on_boundary = np.zeros(graph.num_vertices, dtype=bool)
+    on_boundary[batch.vertex_ids[labeled[batch.neighbor_ids]]] = True
+    frontier = np.flatnonzero(on_boundary)
     return AffectedSet(candidates=candidates, frontier=frontier)
 
 

@@ -54,8 +54,9 @@ class IncrementalWindowBuilder:
 
     The per-(user, product) counts are kept as parallel sorted arrays
     (packed int64 keys + float64 counts); folding a day in or out is one
-    ``np.unique`` aggregation and a sorted merge instead of a Python loop
-    over individual transactions.
+    ``np.unique`` aggregation of that day and a sorted merge instead of a
+    Python loop over individual transactions.  The arrays are read-only
+    and every fold replaces them, so snapshots share them safely.
     """
 
     def __init__(self, stream: TransactionStream) -> None:
@@ -128,18 +129,22 @@ class IncrementalWindowBuilder:
         return diff
 
     def snapshot(self) -> dict:
-        """Copy the window state so a failed slide can be rolled back."""
+        """Capture the window state so a failed slide can be rolled back.
+
+        The pair arrays are never written in place, so the snapshot holds
+        references, not copies.
+        """
         return {
-            "pair_keys": self._pair_keys.copy(),
-            "pair_counts": self._pair_counts.copy(),
+            "pair_keys": self._pair_keys,
+            "pair_counts": self._pair_counts,
             "days": set(self._days),
             "last_diff": self.last_diff,
         }
 
     def restore(self, snapshot: dict) -> None:
         """Reset the window to a :meth:`snapshot`."""
-        self._pair_keys = snapshot["pair_keys"].copy()
-        self._pair_counts = snapshot["pair_counts"].copy()
+        self._pair_keys = snapshot["pair_keys"]
+        self._pair_counts = snapshot["pair_counts"]
         self._days = set(snapshot["days"])
         self.last_diff = snapshot["last_diff"]
 
@@ -147,10 +152,11 @@ class IncrementalWindowBuilder:
         """Fold one day's transactions in (+1) or out (-1), vectorized.
 
         Aggregates the day to unique (user, product) pairs with
-        ``np.unique``, merges them into the sorted running arrays, and
-        drops pairs whose count retires to zero — the exact semantics of
-        the old per-transaction dict loop (counts are sums of ±1.0, which
-        float64 represents exactly).
+        ``np.unique``, merges them into the sorted running arrays by binary
+        search, and drops pairs whose count retires to zero — the exact
+        semantics of the old per-transaction dict loop (counts are sums of
+        ±1.0, which float64 represents exactly).  The merge builds new
+        arrays and never writes to the current ones.
         """
         transactions = self.stream.window_transactions(day, 1)
         if transactions.size == 0:
@@ -159,18 +165,24 @@ class IncrementalWindowBuilder:
             transactions["user"].astype(np.int64) << _PRODUCT_BITS
         ) | transactions["product"].astype(np.int64)
         day_keys, day_counts = np.unique(day_keys, return_counts=True)
+        day_counts = sign * day_counts
 
-        merged_keys = np.concatenate([self._pair_keys, day_keys])
-        merged_counts = np.concatenate(
-            [self._pair_counts, sign * day_counts]
-        )
-        keys, inverse = np.unique(merged_keys, return_inverse=True)
-        counts = np.bincount(
-            inverse, weights=merged_counts, minlength=keys.size
-        )
+        positions = np.searchsorted(self._pair_keys, day_keys)
+        found = np.zeros(day_keys.size, dtype=bool)
+        inside = positions < self._pair_keys.size
+        found[inside] = self._pair_keys[positions[inside]] == day_keys[inside]
+        counts = self._pair_counts.copy()
+        counts[positions[found]] += day_counts[found]
+        new = ~found
+        keys = np.insert(self._pair_keys, positions[new], day_keys[new])
+        counts = np.insert(counts, positions[new], day_counts[new])
         keep = counts > 0.0
-        self._pair_keys = keys[keep]
-        self._pair_counts = counts[keep]
+        if not keep.all():
+            keys, counts = keys[keep], counts[keep]
+        keys.setflags(write=False)
+        counts.setflags(write=False)
+        self._pair_keys = keys
+        self._pair_counts = counts
 
     # ------------------------------------------------------------------
     def build(self) -> WindowGraph:
@@ -179,19 +191,25 @@ class IncrementalWindowBuilder:
             raise PipelineError("window is empty")
         users = self._pair_keys >> _PRODUCT_BITS
         products = self._pair_keys & _PRODUCT_MASK
-        weights = self._pair_counts.copy()
 
-        window_users, user_index = np.unique(users, return_inverse=True)
-        window_products, product_index = np.unique(
-            products, return_inverse=True
-        )
+        # The keys are sorted by user, so users compact in one run-length
+        # pass; products compact through a mask over the product universe.
+        # Both give exactly ``np.unique(..., return_inverse=True)``.
+        new_user = np.ones(users.size, dtype=bool)
+        np.not_equal(users[1:], users[:-1], out=new_user[1:])
+        window_users = users[new_user]
+        user_index = np.cumsum(new_user) - 1
+        present = np.zeros(self.stream.config.num_products, dtype=bool)
+        present[products] = True
+        window_products = np.flatnonzero(present)
+        product_index = (np.cumsum(present) - 1)[products]
         num_users = window_users.size
         start = min(self._days)
         graph = from_edge_arrays(
             user_index.astype(VERTEX_DTYPE),
             (product_index + num_users).astype(VERTEX_DTYPE),
             num_users + window_products.size,
-            weights=weights,
+            weights=self._pair_counts,
             symmetrize=True,
             name=f"window-inc-{len(self._days)}d@{start}",
         )
@@ -237,10 +255,9 @@ def warm_start_seeds(
 
     current_vertices = current.window_vertex_of_user(users)
     present = current_vertices >= 0
-    merged = {
-        int(v): int(l)
-        for v, l in zip(current_vertices[present], labels[present])
-    }
+    merged = dict(
+        zip(current_vertices[present].tolist(), labels[present].tolist())
+    )
     # Guard before indexing: ``&`` does not short-circuit, so folding the
     # emptiness test into the ``found`` mask still evaluates
     # ``current.products[positions]`` and raises on an empty window side.
@@ -251,10 +268,12 @@ def warm_start_seeds(
         positions = np.clip(positions, 0, current.products.size - 1)
         found = current.products[positions] == product_ids
         product_labels = previous_labels[prev_products]
-        for position, label in zip(
-            positions[found], product_labels[found]
-        ):
-            merged[int(position) + current.num_users] = int(label)
+        merged.update(
+            zip(
+                (positions[found] + current.num_users).tolist(),
+                product_labels[found].tolist(),
+            )
+        )
     merged.update(base_seeds)
     return merged
 

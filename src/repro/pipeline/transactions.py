@@ -18,6 +18,7 @@ slice by day and weight edges by interaction counts.
 
 from __future__ import annotations
 
+import bisect
 from dataclasses import dataclass
 from typing import List
 
@@ -84,13 +85,42 @@ class FraudRing:
 
 
 class TransactionStream:
-    """A fully materialized synthetic transaction stream."""
+    """A fully materialized synthetic transaction stream.
+
+    ``transactions`` is read-only and sorted by day; a per-day offset
+    table makes every window a contiguous slice of it.
+    """
 
     def __init__(self, config: TransactionStreamConfig = TransactionStreamConfig()) -> None:
         self.config = config
         self._rng = np.random.default_rng(config.seed)
         self.rings: List[FraudRing] = []
-        self.transactions = self._generate()
+        transactions = self._generate()
+        days = transactions["day"]
+        # A binary search per day reads a few scalars of the strided day
+        # column; ``np.searchsorted`` would first copy the whole column.
+        offsets = [
+            bisect.bisect_left(days, day)
+            for day in range(config.num_days + 1)
+        ]
+        # The day slices tile the stream, each holding only its own day,
+        # exactly when the stream is sorted by day within [0, num_days).
+        if (
+            offsets[0] != 0
+            or offsets[-1] != days.size
+            or not all(
+                np.all(days[lo:hi] == day)
+                for day, (lo, hi) in enumerate(zip(offsets, offsets[1:]))
+            )
+        ):
+            raise PipelineError(
+                f"transactions must be sorted by day within "
+                f"[0, {config.num_days})"
+            )
+        transactions.setflags(write=False)
+        self.transactions = transactions
+        #: ``transactions[_day_offsets[d]:_day_offsets[d + 1]]`` is day d.
+        self._day_offsets = offsets
 
     # ------------------------------------------------------------------
     @property
@@ -117,12 +147,16 @@ class TransactionStream:
         return seeds
 
     def window_transactions(self, start_day: int, num_days: int) -> np.ndarray:
-        """Transactions with ``start_day <= day < start_day + num_days``."""
+        """Transactions with ``start_day <= day < start_day + num_days``.
+
+        Returns a read-only view into :attr:`transactions`, not a copy.
+        """
         if num_days <= 0:
             raise PipelineError("num_days must be positive")
-        days = self.transactions["day"]
-        mask = (days >= start_day) & (days < start_day + num_days)
-        return self.transactions[mask]
+        last = self.config.num_days
+        lo = self._day_offsets[min(max(start_day, 0), last)]
+        hi = self._day_offsets[min(max(start_day + num_days, 0), last)]
+        return self.transactions[lo:hi]
 
     # ------------------------------------------------------------------
     def _generate(self) -> np.ndarray:

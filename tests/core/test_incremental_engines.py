@@ -15,7 +15,7 @@ from repro import ClassicLP, GLPEngine, LayeredLP, SeededFraudLP
 from repro.core.driver import BSPEngine
 from repro.core.hybrid import HybridEngine
 from repro.core.multigpu import MultiGPUEngine
-from repro.errors import ConvergenceError, KernelError
+from repro.errors import ConvergenceError, KernelError, ProgramError
 from repro.kernels.frontier import prune_pinned
 from repro.pipeline.dynlp import plan_slide
 from repro.pipeline.incremental import (
@@ -245,6 +245,20 @@ class TestPinnedVertices:
         )
         assert prune_pinned(frontier, None) is frontier
         assert prune_pinned(frontier, np.empty(0, dtype=np.int64)) is frontier
+
+    @pytest.mark.parametrize("past_end", [False, True])
+    def test_out_of_range_pinned_id_rejected(self, slide, past_end):
+        """The pinned set is built through a bool mask, where an id of -1
+        would silently mark the last vertex."""
+        graph = slide["current"].graph
+        bad = graph.num_vertices if past_end else -1
+
+        class BadPins(ClassicLP):
+            def pinned_vertices(self, graph):
+                return np.array([bad], dtype=np.int64)
+
+        with pytest.raises(ProgramError, match="pinned"):
+            GLPEngine(frontier="auto").run(graph, BadPins(), max_iterations=2)
 
     def test_residual_frontier_excludes_pinned(self, slide):
         seeds = slide["base_seeds"]

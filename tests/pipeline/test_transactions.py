@@ -80,6 +80,40 @@ class TestGeneration:
         assert window["day"].max() < 8
         with pytest.raises(PipelineError):
             small_stream.window_transactions(0, 0)
+        with pytest.raises(PipelineError):
+            small_stream.window_transactions(3, -2)
+
+    @pytest.mark.parametrize("start", [-25, -3, 0, 1, 7, 19, 20, 31])
+    @pytest.mark.parametrize("num_days", [1, 2, 5, 20, 40])
+    def test_window_matches_day_mask(self, small_stream, start, num_days):
+        tx = small_stream.transactions
+        days = tx["day"]
+        expected = tx[(days >= start) & (days < start + num_days)]
+        window = small_stream.window_transactions(start, num_days)
+        assert window.tobytes() == expected.tobytes()
+
+    def test_window_is_read_only_view(self, small_stream):
+        window = small_stream.window_transactions(2, 4)
+        assert not window.flags.writeable
+        assert np.shares_memory(window, small_stream.transactions)
+        with pytest.raises(ValueError):
+            window["amount"][0] = 0.0
+
+    def test_unsorted_stream_rejected(self, monkeypatch):
+        generate = TransactionStream._generate
+
+        def shuffled(self):
+            tx = generate(self)
+            return tx[::-1].copy()
+
+        monkeypatch.setattr(TransactionStream, "_generate", shuffled)
+        with pytest.raises(PipelineError, match="sorted by day"):
+            TransactionStream(
+                TransactionStreamConfig(
+                    num_users=200, num_products=100, num_days=3,
+                    transactions_per_day=20, num_rings=1, ring_size=4,
+                )
+            )
 
 
 class TestConfigValidation:

@@ -1,7 +1,7 @@
 """Property tests: the simulator's counters against set/dict references.
 
 Coalescing, atomic serialization and bank conflicts are computed with one
-packed-key sort per access (:func:`repro.gpusim.memory.pack_pair_keys`),
+packed-key sort per access (:func:`repro.pairsort.pack_pair_keys`),
 falling back to ``np.lexsort`` when the key would overflow int64.  Both
 paths must count exactly what the definitions below count.
 """
@@ -13,13 +13,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.gpusim.atomics import serialization_cost
-from repro.gpusim.memory import (
-    count_sector_transactions,
-    pack_pair_keys,
-    pair_order,
-)
+from repro.gpusim.memory import count_sector_transactions
 from repro.gpusim.sharedmem import bank_conflict_replays
 from repro.kernels.base import _STEP_SHIFT
+from repro.pairsort import pack_pair_keys, pair_order
 
 
 def ref_sectors(addresses, warps, sector_bytes):
