@@ -14,11 +14,21 @@ closest synthetic equivalent:
 
 Transactions carry ``(day, user, product, amount)`` so the window stage can
 slice by day and weight edges by interaction counts.
+
+Zipf products are drawn by inverse-CDF lookup:
+``cdf.searchsorted(rng.random(k), side="right")`` on one CDF built per
+stream.  This is exactly what ``Generator.choice(n, size=k, p=p)`` does with
+replacement -- the same checks on ``p``, the same cumsum-and-renormalise CDF,
+one ``random`` draw per sample and a right-sided search -- so it yields the
+same indices and consumes the same draws, but without rebuilding the
+``num_products``-entry CDF on each of the ``num_days * (1 + num_rings)``
+calls.  The whole stream is written into one preallocated record buffer.
 """
 
 from __future__ import annotations
 
 import bisect
+import math
 from dataclasses import dataclass
 from typing import List
 
@@ -36,6 +46,24 @@ TRANSACTION_DTYPE = np.dtype(
         ("amount", np.float64),
     ]
 )
+
+
+def popularity_cdf(popularity: np.ndarray) -> np.ndarray:
+    """The CDF ``Generator.choice(p=popularity)`` samples from.
+
+    Runs ``choice``'s checks on ``p``: finite, non-negative and summing to
+    1 within ``sqrt(eps)``.
+    """
+    if not (
+        np.all(np.isfinite(popularity))
+        and np.all(popularity >= 0.0)
+        and abs(popularity.sum() - 1.0)
+        <= np.sqrt(np.finfo(np.float64).eps)
+    ):
+        raise PipelineError("popularity is not a probability distribution")
+    cdf = popularity.cumsum()
+    cdf /= cdf[-1]
+    return cdf
 
 
 @dataclass(frozen=True)
@@ -68,8 +96,26 @@ class TransactionStreamConfig:
             raise PipelineError("user/product universes must be non-empty")
         if self.num_days <= 0 or self.transactions_per_day < 0:
             raise PipelineError("stream length must be positive")
-        if self.num_rings * self.ring_size > self.num_users:
+        if self.num_rings < 0 or self.ring_transactions_per_day < 0:
+            raise PipelineError("ring counts must be non-negative")
+        if self.num_rings > 0 and self.ring_size < 1:
+            raise PipelineError("fraud rings must have members")
+        honest_users = self.num_users - self.num_rings * self.ring_size
+        # Normal traffic needs at least one honest id to draw users from.
+        if honest_users < 0 or (
+            honest_users == 0 and self.transactions_per_day > 0
+        ):
             raise PipelineError("fraud rings exceed the user universe")
+        if not 1 <= self.ring_products <= self.num_products:
+            raise PipelineError("ring_products must be in [1, num_products]")
+        if not math.isfinite(self.zipf_exponent):
+            raise PipelineError("zipf_exponent must be finite")
+        if not 0.0 <= self.regular_fraction <= 1.0:
+            raise PipelineError("regular_fraction must be in [0, 1]")
+        # A pool larger than the honest id range would draw "honest"
+        # regulars from ring-member ids.
+        if not 0.0 < self.regulars_pool_fraction <= 1.0:
+            raise PipelineError("regulars_pool_fraction must be in (0, 1]")
         if not 0.0 < self.seed_fraction <= 1.0:
             raise PipelineError("seed_fraction must be in (0, 1]")
 
@@ -186,46 +232,46 @@ class TransactionStream:
                 )
             )
 
-        chunks = []
-        popularity = zipf_popularity(cfg.num_products, cfg.zipf_exponent)
+        cdf = popularity_cdf(
+            zipf_popularity(cfg.num_products, cfg.zipf_exponent)
+        )
         regulars_pool = max(1, int(cfg.regulars_pool_fraction * ring_base))
+        n = cfg.transactions_per_day
+        n_regular = int(cfg.regular_fraction * n)
+        m = cfg.ring_transactions_per_day
+        per_day = n + cfg.num_rings * m
+        transactions = np.empty(
+            cfg.num_days * per_day, dtype=TRANSACTION_DTYPE
+        )
+        days = transactions["day"]
+        users = transactions["user"]
+        products = transactions["product"]
+        amounts = transactions["amount"]
         for day in range(cfg.num_days):
+            lo = day * per_day
+            days[lo:lo + per_day] = day
             # Normal traffic: a mix of a regulars pool and the long tail.
-            n = cfg.transactions_per_day
-            n_regular = int(cfg.regular_fraction * n)
-            users = np.concatenate(
-                [
-                    rng.integers(0, regulars_pool, n_regular, dtype=np.int64),
-                    rng.integers(0, ring_base, n - n_regular, dtype=np.int64),
-                ]
+            mid, hi = lo + n_regular, lo + n
+            users[lo:mid] = rng.integers(
+                0, regulars_pool, n_regular, dtype=np.int64
             )
-            products = rng.choice(
-                cfg.num_products, size=n, p=popularity
-            ).astype(np.int64)
-            amounts = rng.lognormal(mean=3.0, sigma=1.0, size=n)
-            chunk = np.empty(n, dtype=TRANSACTION_DTYPE)
-            chunk["day"] = day
-            chunk["user"] = users
-            chunk["product"] = products
-            chunk["amount"] = amounts
-            chunks.append(chunk)
+            users[mid:hi] = rng.integers(
+                0, ring_base, n - n_regular, dtype=np.int64
+            )
+            products[lo:hi] = cdf.searchsorted(rng.random(n), side="right")
+            amounts[lo:hi] = rng.lognormal(mean=3.0, sigma=1.0, size=n)
 
             # Ring traffic: members hammer ring products (and sprinkle a
             # little camouflage on popular products).
             for ring in self.rings:
-                m = cfg.ring_transactions_per_day
-                r_users = rng.choice(ring.members, size=m).astype(np.int64)
+                lo, hi = hi, hi + m
+                users[lo:hi] = rng.choice(ring.members, size=m)
                 camouflage = rng.random(m) < 0.1
-                r_products = np.where(
+                products[lo:hi] = np.where(
                     camouflage,
-                    rng.choice(cfg.num_products, size=m, p=popularity),
+                    cdf.searchsorted(rng.random(m), side="right"),
                     rng.choice(ring.products, size=m),
-                ).astype(np.int64)
-                r_chunk = np.empty(m, dtype=TRANSACTION_DTYPE)
-                r_chunk["day"] = day
-                r_chunk["user"] = r_users
-                r_chunk["product"] = r_products
-                r_chunk["amount"] = rng.lognormal(2.0, 0.5, m)
-                chunks.append(r_chunk)
+                )
+                amounts[lo:hi] = rng.lognormal(2.0, 0.5, m)
 
-        return np.concatenate(chunks)
+        return transactions

@@ -1,12 +1,17 @@
 """Tests for the synthetic transaction stream."""
 
+import hashlib
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from repro.errors import PipelineError
+from repro.graph.generators.bipartite import zipf_popularity
 from repro.pipeline.transactions import (
     TransactionStream,
     TransactionStreamConfig,
+    popularity_cdf,
 )
 
 
@@ -23,6 +28,57 @@ def small_stream():
             seed=1,
         )
     )
+
+
+def stream_digest(stream):
+    digest = hashlib.sha256(stream.transactions.tobytes())
+    for ring in stream.rings:
+        digest.update(ring.products.tobytes())
+    return digest.hexdigest()
+
+
+class TestGoldenStream:
+    """Every byte of the stream is pinned: the benchmark's expected label
+    hashes and the committed baselines are all derived from it."""
+
+    def test_small_stream(self, small_stream):
+        assert stream_digest(small_stream) == (
+            "ebf5aa4979d3a7bb7acd1d3e3a44af547f820ee405979704390e1381a43b665d"
+        )
+
+    def test_default_65_days(self):
+        stream = TransactionStream(TransactionStreamConfig(num_days=65, seed=0))
+        assert stream_digest(stream) == (
+            "69cda597de5feffaae80b77a7c9f6d930f010ccbf31e7f352b9a839e8f7b9fa0"
+        )
+
+
+class TestZipfSampler:
+    @pytest.mark.parametrize("k", [0, 1, 30, 17_000])
+    def test_matches_generator_choice(self, k):
+        popularity = zipf_popularity(45_000, 1.05)
+        ours = np.random.default_rng(11)
+        theirs = np.random.default_rng(11)
+        sampled = popularity_cdf(popularity).searchsorted(
+            ours.random(k), side="right"
+        )
+        expected = theirs.choice(popularity.size, size=k, p=popularity)
+        assert np.array_equal(sampled, expected)
+        # Both consumed the same number of draws.
+        assert ours.random() == theirs.random()
+
+    @pytest.mark.parametrize(
+        "popularity",
+        [
+            np.array([0.5, np.nan, 0.5]),
+            np.array([0.5, np.inf, 0.5]),
+            np.array([1.5, -0.5]),
+            np.array([0.3, 0.3]),
+        ],
+    )
+    def test_rejects_non_distribution(self, popularity):
+        with pytest.raises(PipelineError):
+            popularity_cdf(popularity)
 
 
 class TestGeneration:
@@ -43,6 +99,17 @@ class TestGeneration:
         a = TransactionStream(config).transactions
         b = TransactionStream(config).transactions
         assert np.array_equal(a, b)
+
+    def test_construction_peak_is_about_the_stream(self):
+        # One record buffer: no per-day chunks concatenated at the end.
+        config = TransactionStreamConfig(num_days=20)
+        tracemalloc.start()
+        try:
+            stream = TransactionStream(config)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.25 * stream.transactions.nbytes
 
     def test_rings_at_top_of_id_space(self, small_stream):
         config = small_stream.config
@@ -130,3 +197,37 @@ class TestConfigValidation:
     def test_bad_days(self):
         with pytest.raises(PipelineError):
             TransactionStreamConfig(num_days=0)
+
+    @pytest.mark.parametrize(
+        "overrides",
+        [
+            {"ring_products": 0},
+            {"num_products": 3, "ring_products": 4},
+            {"regular_fraction": -0.1},
+            {"regular_fraction": 1.5},
+            {"regular_fraction": float("nan")},
+            {"ring_size": 0},
+            {"ring_size": -2},
+            {"num_rings": -1},
+            {"ring_transactions_per_day": -1},
+            {"zipf_exponent": float("nan")},
+            {"zipf_exponent": float("inf")},
+            {"regulars_pool_fraction": 0.0},
+            {"regulars_pool_fraction": 3.0},
+            {"num_users": 480, "num_rings": 40, "ring_size": 12},
+        ],
+    )
+    def test_invalid_config_rejected(self, overrides):
+        with pytest.raises(PipelineError):
+            TransactionStreamConfig(**overrides)
+
+    def test_default_and_edge_configs_accepted(self):
+        TransactionStreamConfig()
+        TransactionStreamConfig(num_rings=0, ring_size=0)
+        TransactionStreamConfig(
+            num_users=480, num_rings=40, ring_size=12, transactions_per_day=0
+        )
+        TransactionStreamConfig(
+            regular_fraction=0.0, regulars_pool_fraction=1.0,
+            ring_transactions_per_day=0,
+        )
