@@ -148,10 +148,13 @@ class GLPEngine(BSPEngine):
                 run.carry["frontier_vertices"] = prune_pinned(
                     run.carry["frontier_vertices"], run.pinned
                 )
-            # Degrees are static, so the dense pass's degree bins are
-            # memoized across iterations (frontier passes bin their
-            # subset per round).
+            # Degrees are static, so the dense pass's degree bins and
+            # kernel launch schedules are memoized across iterations
+            # (frontier passes bin their subset per round).  A sparse pass
+            # drops the schedules: they are only worth their memory while
+            # dense passes repeat.
             full_bins = None
+            dense_schedules = {}
 
             def step(iteration: int):
                 nonlocal full_bins
@@ -175,12 +178,15 @@ class GLPEngine(BSPEngine):
                         graph.num_vertices,
                     )
                 )
+                if sparse:
+                    dense_schedules.clear()
                 ctx = KernelContext(
                     device=device,
                     graph=graph,
                     current_labels=picked,
                     program=program,
                     config=self.config,
+                    schedules=None if sparse else dense_schedules,
                 )
                 if sparse:
                     if self.pass_kind == "gsort":

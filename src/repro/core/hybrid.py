@@ -198,7 +198,8 @@ class HybridEngine(BSPEngine):
             if resident
             else np.empty(0, dtype=np.int64)
         )
-        # Degrees are static: bin the resident range once for dense rounds.
+        # Degrees are static: bin the resident range once for dense rounds
+        # and keep their kernel launch schedules until a sparse round.
         resident_bins = (
             bin_vertices_by_degree(
                 graph,
@@ -209,6 +210,7 @@ class HybridEngine(BSPEngine):
             if resident_vertices.size
             else None
         )
+        dense_schedules = {}
 
         # One-time residency uploads (window setup, not per-iteration
         # time).  The planner's own estimate — the always-resident label
@@ -323,6 +325,8 @@ class HybridEngine(BSPEngine):
                                     device.stream_to_device(
                                         vertices.size * 8
                                     )
+                    if sparse:
+                        dense_schedules.clear()
                     if vertices.size:
                         ctx = KernelContext(
                             device=device,
@@ -330,6 +334,7 @@ class HybridEngine(BSPEngine):
                             current_labels=picked,
                             program=program,
                             config=self.config,
+                            schedules=None if sparse else dense_schedules,
                         )
                         if sparse:
                             result = propagate_pass(ctx, vertices)

@@ -97,8 +97,9 @@ class MultiGPUEngine(BSPEngine):
         track_frontier = run.track_frontier
         reversed_graph = graph.reversed() if track_frontier else None
 
-        # Per-partition vertex ranges and their memoized degree bins
-        # (degrees are static, so dense rounds never re-bin).
+        # Per-partition vertex ranges, their memoized degree bins and the
+        # kernel launch schedules kept until a sparse round (degrees are
+        # static, so dense rounds never re-bin or re-schedule).
         part_vertices = [
             np.arange(part.start, part.stop, dtype=np.int64) for part in parts
         ]
@@ -113,6 +114,7 @@ class MultiGPUEngine(BSPEngine):
             else None
             for vertices in part_vertices
         ]
+        part_schedules = [{} for _ in parts]
         # Incremental start: split the caller's affected set by vertex
         # ownership so iteration 1 runs sparse on every device.  From then
         # on ``part_frontiers`` carries the split, and a restore re-seeds
@@ -157,6 +159,8 @@ class MultiGPUEngine(BSPEngine):
                 kernel_before = device.kernel_seconds
                 counters_before = device.counters.copy()
                 vertices = part_frontiers[i] if sparse else part_vertices[i]
+                if sparse:
+                    part_schedules[i].clear()
                 if vertices.size:
                     ctx = KernelContext(
                         device=device,
@@ -164,6 +168,7 @@ class MultiGPUEngine(BSPEngine):
                         current_labels=picked,
                         program=program,
                         config=self.config,
+                        schedules=None if sparse else part_schedules[i],
                     )
                     if sparse:
                         result = propagate_pass(ctx, vertices)

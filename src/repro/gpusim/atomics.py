@@ -22,7 +22,7 @@ from repro.gpusim import hooks
 from repro.gpusim.config import DeviceSpec
 from repro.gpusim.counters import PerfCounters
 from repro.gpusim.memory import count_sector_transactions, default_warp_ids
-from repro.pairsort import pair_order
+from repro.pairsort import pack_pair_keys
 
 
 def serialization_cost(
@@ -41,14 +41,26 @@ def serialization_cost(
     total = int(addresses.size)
     if total == 0:
         return 0, 0
-    order = pair_order(warp_ids, addresses)
-    a = addresses[order]
-    w = warp_ids[order]
-    boundaries = np.flatnonzero(
-        np.concatenate(([True], (a[1:] != a[:-1]) | (w[1:] != w[:-1])))
-    )
+    # Group (warp, address) pairs with one sort of their packed keys: a
+    # key's warp part is ``key // address_span`` (both offset by their
+    # minimums), so no permutation or gather is needed.  Wide spans fall
+    # back to lexsort.  Sort kind as in ``count_sector_transactions``.
+    keys = pack_pair_keys(warp_ids, addresses)
+    if keys is None:
+        order = np.lexsort((addresses, warp_ids))
+        a = addresses[order]
+        w = warp_ids[order]
+        new_group = (a[1:] != a[:-1]) | (w[1:] != w[:-1])
+    else:
+        keys.sort(kind="stable")
+        new_group = keys[1:] != keys[:-1]
+    boundaries = np.flatnonzero(np.concatenate(([True], new_group)))
     multiplicities = np.diff(np.concatenate((boundaries, [total])))
-    group_warps = w[boundaries]
+    if keys is None:
+        group_warps = w[boundaries]
+    else:
+        address_span = int(addresses.max()) - int(addresses.min()) + 1
+        group_warps = keys[boundaries] // address_span
     warp_boundaries = np.flatnonzero(
         np.concatenate(([True], group_warps[1:] != group_warps[:-1]))
     )

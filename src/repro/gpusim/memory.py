@@ -15,6 +15,7 @@ load with one call.
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -22,7 +23,7 @@ import numpy as np
 from repro.gpusim import hooks
 from repro.gpusim.config import DeviceSpec
 from repro.gpusim.counters import PerfCounters
-from repro.pairsort import pair_order
+from repro.pairsort import pack_pair_keys
 
 
 def default_warp_ids(num_elements: int, warp_size: int = 32) -> np.ndarray:
@@ -50,13 +51,38 @@ def count_sector_transactions(
     if byte_addresses.size == 0:
         return 0
     sectors = byte_addresses // sector_bytes
-    # Count distinct (warp, sector) pairs after one sort: pair_order packs
-    # both into one int64 key when their spans fit, else uses lexsort.
-    order = pair_order(warp_ids, sectors)
-    s = sectors[order]
-    w = warp_ids[order]
-    distinct = np.count_nonzero((s[1:] != s[:-1]) | (w[1:] != w[:-1])) + 1
-    return int(distinct)
+    # Count distinct (warp, sector) pairs after one sort.  Packed keys are
+    # one-to-one with the pairs, so sorting the keys themselves suffices:
+    # no permutation, no gathers.  Wide spans fall back to lexsort.  The
+    # keys arrive in long ascending runs (lanes in warp order), which
+    # timsort (kind="stable") exploits: it beats quicksort here.
+    keys = pack_pair_keys(warp_ids, sectors)
+    if keys is None:
+        order = np.lexsort((sectors, warp_ids))
+        s = sectors[order]
+        w = warp_ids[order]
+        return int(np.count_nonzero((s[1:] != s[:-1]) | (w[1:] != w[:-1])) + 1)
+    keys.sort(kind="stable")
+    return int(np.count_nonzero(keys[1:] != keys[:-1]) + 1)
+
+
+@dataclass(frozen=True)
+class CountedLoad:
+    """A global load whose transactions are counted but not yet charged.
+
+    Transaction counts depend only on addresses and warp ids, so a kernel
+    whose addresses do not change between launches counts once and charges
+    the same load every launch.  The record keeps what the sanitizer is
+    shown when the load is charged: element ``indices`` and ``warp_ids``
+    for a gather, or segment ``indices`` (starts) and ``lengths`` for
+    per-warp segment streams.
+    """
+
+    transactions: int
+    array: Optional[str]
+    indices: np.ndarray
+    warp_ids: Optional[np.ndarray] = None
+    lengths: Optional[np.ndarray] = None
 
 
 class GlobalMemoryModel:
@@ -148,6 +174,19 @@ class GlobalMemoryModel:
         ``warp_ids`` is omitted, consecutive indices are assumed to map to
         consecutive lanes (the layout of an edge-parallel kernel).
         """
+        return self.charge_load(
+            self.count_gather(indices, element_bytes, warp_ids, array=array)
+        )
+
+    def count_gather(
+        self,
+        indices: np.ndarray,
+        element_bytes: int,
+        warp_ids: Optional[np.ndarray] = None,
+        *,
+        array: Optional[str] = None,
+    ) -> CountedLoad:
+        """Count a :meth:`load_gather` without charging it."""
         indices = np.asarray(indices)
         if warp_ids is None:
             warp_ids = default_warp_ids(indices.size, self._spec.warp_size)
@@ -156,9 +195,34 @@ class GlobalMemoryModel:
             warp_ids,
             self._spec.sector_bytes,
         )
-        self._counters.global_load_transactions += transactions
-        self._sanitize(array, indices, "read", warp_ids=warp_ids)
-        return transactions
+        return CountedLoad(transactions, array, indices, warp_ids=warp_ids)
+
+    def charge_load(self, load: CountedLoad) -> int:
+        """Charge a counted load and show its accesses to a sanitizer."""
+        self._counters.global_load_transactions += load.transactions
+        if load.lengths is None:
+            self._sanitize(
+                load.array, load.indices, "read", warp_ids=load.warp_ids
+            )
+        elif load.array is not None and hooks.active() is not None:
+            # Expand per-element offsets (one warp per segment) only when
+            # a sanitizer is actually listening — it is O(total length).
+            nonzero = load.lengths > 0
+            lengths = load.lengths[nonzero]
+            starts = load.indices[nonzero]
+            if lengths.size:
+                total = int(lengths.sum())
+                seg_of = np.repeat(np.arange(lengths.size), lengths)
+                within = np.arange(total) - np.repeat(
+                    np.cumsum(lengths) - lengths, lengths
+                )
+                self._sanitize(
+                    load.array,
+                    starts[seg_of] + within,
+                    "read",
+                    warp_ids=seg_of,
+                )
+        return load.transactions
 
     def store_scatter(
         self,
@@ -208,33 +272,31 @@ class GlobalMemoryModel:
         ``ceil(length * element_bytes / sector)`` transactions plus the
         partial leading sector when the segment start is unaligned.
         """
+        return self.charge_load(
+            self.count_segments(
+                segment_starts, segment_lengths, element_bytes, array=array
+            )
+        )
+
+    def count_segments(
+        self,
+        segment_starts: np.ndarray,
+        segment_lengths: np.ndarray,
+        element_bytes: int,
+        *,
+        array: Optional[str] = None,
+    ) -> CountedLoad:
+        """Count a :meth:`load_segments` without charging it."""
         segment_lengths = np.asarray(segment_lengths, dtype=np.int64)
         segment_starts = np.asarray(segment_starts, dtype=np.int64)
-        if segment_lengths.size == 0:
-            return 0
-        start_bytes = segment_starts * element_bytes
-        end_bytes = start_bytes + segment_lengths * element_bytes
-        sector = self._spec.sector_bytes
-        first = start_bytes // sector
-        last = (np.maximum(end_bytes - 1, start_bytes)) // sector
-        transactions = int((last - first + 1)[segment_lengths > 0].sum())
-        self._counters.global_load_transactions += transactions
-        if array is not None and hooks.active() is not None:
-            # Expand per-element offsets (one warp per segment) only when
-            # a sanitizer is actually listening — it is O(total length).
-            nonzero = segment_lengths > 0
-            lengths = segment_lengths[nonzero]
-            starts = segment_starts[nonzero]
-            if lengths.size:
-                total = int(lengths.sum())
-                seg_of = np.repeat(np.arange(lengths.size), lengths)
-                within = np.arange(total) - np.repeat(
-                    np.cumsum(lengths) - lengths, lengths
-                )
-                self._sanitize(
-                    array,
-                    starts[seg_of] + within,
-                    "read",
-                    warp_ids=seg_of,
-                )
-        return transactions
+        transactions = 0
+        if segment_lengths.size:
+            start_bytes = segment_starts * element_bytes
+            end_bytes = start_bytes + segment_lengths * element_bytes
+            sector = self._spec.sector_bytes
+            first = start_bytes // sector
+            last = (np.maximum(end_bytes - 1, start_bytes)) // sector
+            transactions = int((last - first + 1)[segment_lengths > 0].sum())
+        return CountedLoad(
+            transactions, array, segment_starts, lengths=segment_lengths
+        )

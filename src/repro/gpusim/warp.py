@@ -88,25 +88,27 @@ def match_any_sync(active: np.ndarray, values: np.ndarray) -> np.ndarray:
     if values.shape != active.shape:
         raise KernelError("values shape must match active shape")
     _notify_sync("match_any_sync", active)
-    masks = np.zeros(active.shape, dtype=np.uint64)
-    warp_of, lane_of = np.nonzero(active)
-    if warp_of.size == 0:
-        return masks
-    # Group-by over the active lanes: a stable sort by value, then by warp,
-    # makes every run of equal (warp, value) contiguous; OR-ing a run's
-    # lane bits gives the mask each of its lanes receives.  Two stable
-    # single-key sorts equal np.lexsort for values of any dtype.
-    lane_values = values[warp_of, lane_of]
-    order = np.argsort(lane_values, kind="stable")
-    order = order[np.argsort(warp_of[order], kind="stable")]
-    warp_of, lane_of = warp_of[order], lane_of[order]
-    lane_values = lane_values[order]
-    new_run = np.concatenate(([True], warp_of[1:] != warp_of[:-1]))
-    new_run[1:] |= lane_values[1:] != lane_values[:-1]
-    run_masks = np.bitwise_or.reduceat(
-        _LANE_BITS[lane_of], np.flatnonzero(new_run)
+    if active.size == 0:
+        return np.zeros(active.shape, dtype=np.uint64)
+    # Group-by inside each warp row: sort the row's values, then OR the
+    # lane bits of every run of equal values into the mask its lanes
+    # receive.  Inactive lanes contribute no bit and get a 0 mask; an OR
+    # ignores the order of lanes within a run, so any sort kind will do.
+    order = np.argsort(values, axis=1)
+    sorted_values = np.take_along_axis(values, order, axis=1)
+    bits = np.where(
+        np.take_along_axis(active, order, axis=1),
+        _LANE_BITS[order],
+        np.uint64(0),
     )
-    masks[warp_of, lane_of] = run_masks[np.cumsum(new_run) - 1]
+    new_run = np.ones(active.shape, dtype=bool)
+    new_run[:, 1:] = sorted_values[:, 1:] != sorted_values[:, :-1]
+    new_run = new_run.ravel()
+    run_masks = np.bitwise_or.reduceat(bits.ravel(), np.flatnonzero(new_run))
+    sorted_masks = run_masks[np.cumsum(new_run) - 1].reshape(active.shape)
+    masks = np.empty(active.shape, dtype=np.uint64)
+    np.put_along_axis(masks, order, sorted_masks, axis=1)
+    masks[~active] = 0
     return masks
 
 

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import Callable, Optional, Tuple
 
 import numpy as np
 
@@ -11,7 +11,8 @@ from repro.core.api import LPProgram
 from repro.errors import KernelError
 from repro.graph.csr import CSRGraph
 from repro.gpusim.device import Device
-from repro.kernels.mfl import EdgeBatch
+from repro.gpusim.memory import CountedLoad
+from repro.kernels.mfl import EdgeBatch, expand_edges
 
 #: Bytes per vertex id / label / offset on the device.
 ELEM_BYTES = 8
@@ -84,6 +85,53 @@ SMEM_WARP = StrategyConfig(
 GLP_DEFAULT = StrategyConfig()
 
 
+@dataclass(frozen=True)
+class LaunchSchedule:
+    """The label-independent half of one MFL kernel launch.
+
+    Degrees never change between LP iterations, so everything a launch
+    derives from ``(graph, vertices, config, device spec)`` alone is the
+    same every iteration: the expanded edge batch, the warp-step keys,
+    the counted common reads (their addresses are vertex ids, CSR offsets
+    and neighbor ids, never labels) and the degree-derived instruction
+    counts.  A kernel builds its schedule, then executes the
+    label-dependent half over it; dense passes keep the schedule for the
+    next iteration (see :meth:`KernelContext.schedule`).  It is simulator
+    bookkeeping, not device state: nothing here is a device allocation.
+    """
+
+    #: The sorted vertex subset the schedule was built for.
+    vertices: np.ndarray
+    batch: EdgeBatch
+    #: Per-edge warp-step key (batch order) of the label accesses.
+    warp_steps: np.ndarray
+    #: Counted common reads; the per-edge label gather is the last one
+    #: whenever the batch has edges.
+    reads: Tuple[CountedLoad, ...]
+    warp_instructions: int
+    active_lane_sum: int
+    warps_launched: int
+    #: Warp-multi only: each edge's flat ``warp * warp_size + lane`` slot
+    #: and the ``(warps, warp_size)`` active-lane grid.
+    lane_slots: Optional[np.ndarray] = None
+    active_lanes: Optional[np.ndarray] = None
+    #: Block-per-vertex only: each edge's position within its vertex's list.
+    within: Optional[np.ndarray] = None
+
+    @property
+    def label_gather(self) -> CountedLoad:
+        """The counted per-edge label gather (batches with edges only)."""
+        return self.reads[-1]
+
+    def charge(self, device: Device) -> None:
+        """Charge the common reads and the degree-derived instructions."""
+        for load in self.reads:
+            device.memory.charge_load(load)
+        device.counters.warp_instructions += self.warp_instructions
+        device.counters.active_lane_sum += self.active_lane_sum
+        device.counters.warps_launched += self.warps_launched
+
+
 @dataclass
 class KernelContext:
     """Everything a strategy kernel needs for one LabelPropagation pass."""
@@ -97,6 +145,28 @@ class KernelContext:
     #: high-degree vertices needed the global-memory fallback — the
     #: quantity Theorem 1 bounds).
     stats: dict = field(default_factory=dict)
+    #: Launch schedules kept across the dense passes of one engine attempt,
+    #: keyed by kernel name; ``None`` builds every schedule for one launch.
+    schedules: Optional[dict] = None
+
+    def schedule(
+        self,
+        kernel: str,
+        vertices: np.ndarray,
+        build: Callable[["KernelContext", np.ndarray], LaunchSchedule],
+    ) -> LaunchSchedule:
+        """Get ``kernel``'s kept schedule over ``vertices``, or build it."""
+        if self.schedules is None:
+            return build(self, vertices)
+        schedule = self.schedules.get(kernel)
+        if schedule is None:
+            schedule = self.schedules[kernel] = build(self, vertices)
+        elif not np.array_equal(schedule.vertices, vertices):
+            raise KernelError(
+                f"kept {kernel} schedule covers other vertices than the "
+                "launch processes"
+            )
+        return schedule
 
 
 # ----------------------------------------------------------------------
@@ -146,14 +216,14 @@ def warp_steps_block_per_vertex(
     return key
 
 
-def account_common_reads(
+def common_reads(
     ctx: KernelContext,
     batch: EdgeBatch,
     label_warp_steps: Optional[np.ndarray],
     *,
     neighbor_ids_scattered: bool = False,
-) -> None:
-    """Account the reads every counting strategy performs.
+) -> Tuple[CountedLoad, ...]:
+    """Count the reads every counting strategy performs.
 
     * the two CSR offsets per processed vertex (near-coalesced),
     * the neighbor-id reads — contiguous segment streams when a warp/block
@@ -162,33 +232,94 @@ def account_common_reads(
       pattern the paper criticizes), and
     * the per-edge label gather — the access whose coalescing behaviour
       differs between strategies, hence the caller-provided warp-step map.
+
+    Every address is a vertex id, a CSR offset or a neighbor id, so the
+    counts are label-independent.
     """
-    device = ctx.device
+    memory = ctx.device.memory
     graph = ctx.graph
+    reads = []
     vertices = batch.vertices
     if vertices.size:
-        device.memory.load_gather(vertices, ELEM_BYTES, array="csr-offsets")
+        reads.append(
+            memory.count_gather(vertices, ELEM_BYTES, array="csr-offsets")
+        )
         if not neighbor_ids_scattered:
-            device.memory.load_segments(
-                graph.offsets[vertices],
-                graph.degrees[vertices],
-                ELEM_BYTES,
-                array="neighbor-ids",
+            reads.append(
+                memory.count_segments(
+                    graph.offsets[vertices],
+                    graph.degrees[vertices],
+                    ELEM_BYTES,
+                    array="neighbor-ids",
+                )
             )
     if batch.num_edges:
         if neighbor_ids_scattered:
-            device.memory.load_gather(
-                batch.edge_positions,
+            reads.append(
+                memory.count_gather(
+                    batch.edge_positions,
+                    ELEM_BYTES,
+                    warp_ids=label_warp_steps,
+                    array="neighbor-ids",
+                )
+            )
+        reads.append(
+            memory.count_gather(
+                batch.neighbor_ids,
                 ELEM_BYTES,
                 warp_ids=label_warp_steps,
-                array="neighbor-ids",
+                array="labels",
             )
-        device.memory.load_gather(
-            batch.neighbor_ids,
-            ELEM_BYTES,
-            warp_ids=label_warp_steps,
-            array="labels",
         )
+    return tuple(reads)
+
+
+def account_common_reads(
+    ctx: KernelContext,
+    batch: EdgeBatch,
+    label_warp_steps: Optional[np.ndarray],
+    *,
+    neighbor_ids_scattered: bool = False,
+) -> None:
+    """Count and charge :func:`common_reads` in one go."""
+    for load in common_reads(
+        ctx,
+        batch,
+        label_warp_steps,
+        neighbor_ids_scattered=neighbor_ids_scattered,
+    ):
+        ctx.device.memory.charge_load(load)
+
+
+def warp_per_vertex_schedule(
+    ctx: KernelContext,
+    vertices: np.ndarray,
+    *,
+    loop_instructions: int,
+    reduce_instructions: int = 0,
+) -> LaunchSchedule:
+    """Schedule of a kernel whose warp strides one vertex's list.
+
+    Each 32-edge step issues ``loop_instructions``; an optional per-vertex
+    reduction issues ``reduce_instructions`` with one live lane per edge,
+    so lanes beyond the vertex's degree idle through it like the loop.
+    """
+    warp_size = ctx.device.spec.warp_size
+    batch = expand_edges(ctx.graph, vertices)
+    warp_steps = warp_steps_one_warp_per_vertex(ctx.graph, batch)
+    degrees = ctx.graph.degrees[vertices]
+    steps = -(-degrees // warp_size)
+    return LaunchSchedule(
+        vertices=vertices,
+        batch=batch,
+        warp_steps=warp_steps,
+        reads=common_reads(ctx, batch, warp_steps),
+        warp_instructions=int(steps.sum()) * loop_instructions
+        + vertices.size * reduce_instructions,
+        active_lane_sum=int(degrees.sum()) * loop_instructions
+        + int(np.minimum(degrees, warp_size).sum()) * reduce_instructions,
+        warps_launched=int(vertices.size),
+    )
 
 
 def account_label_writeback(ctx: KernelContext, num_vertices: int) -> None:

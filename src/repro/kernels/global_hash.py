@@ -15,6 +15,7 @@ paper's motivation:
 
 from __future__ import annotations
 
+import functools
 from typing import Tuple
 
 import numpy as np
@@ -24,9 +25,8 @@ from repro.kernels import mfl
 from repro.kernels.base import (
     ELEM_BYTES,
     KernelContext,
-    account_common_reads,
     account_label_writeback,
-    warp_steps_one_warp_per_vertex,
+    warp_per_vertex_schedule,
 )
 from repro.sketch.globalhash import GlobalHashTable, combine_keys
 
@@ -44,7 +44,6 @@ def run_global_hash(
     Returns ``(best_labels, best_scores)`` aligned with ``vertices``.
     """
     device = ctx.device
-    graph = ctx.graph
     vertices = np.asarray(vertices, dtype=np.int64)
     if vertices.size == 0:
         return (
@@ -52,14 +51,23 @@ def run_global_hash(
             np.empty(0, dtype=np.float64),
         )
 
-    batch = mfl.expand_edges(graph, vertices)
+    schedule = ctx.schedule(
+        "global-hash",
+        vertices,
+        functools.partial(
+            warp_per_vertex_schedule,
+            loop_instructions=_LOOP_INSTRUCTIONS,
+            reduce_instructions=_REDUCE_INSTRUCTIONS,
+        ),
+    )
+    batch = schedule.batch
+    warp_steps = schedule.warp_steps
     groups = mfl.aggregate_label_frequencies(
         ctx.program, batch, ctx.current_labels
     )
 
     with device.launch("global-hash"):
-        warp_steps = warp_steps_one_warp_per_vertex(graph, batch)
-        account_common_reads(ctx, batch, warp_steps)
+        schedule.charge(device)
 
         if batch.num_edges:
             # Real hash-table insertion: probe counts and the slot addresses
@@ -70,14 +78,7 @@ def run_global_hash(
             with obs.alloc_scope("scratch", "kernels.ghash.table"):
                 table_mem = device.alloc((table.capacity,), np.int64)
             try:
-                neighbor_labels = ctx.current_labels[batch.neighbor_ids]
-                edge_labels, _ = ctx.program.load_neighbor(
-                    batch.vertex_ids,
-                    batch.neighbor_ids,
-                    neighbor_labels,
-                    batch.edge_weights,
-                )
-                keys = combine_keys(batch.vertex_ids, edge_labels)
+                keys = combine_keys(batch.vertex_ids, groups.edge_labels)
                 slots, probes = table.add_batch(keys)
                 # One atomic RMW per edge at its resolved slot...
                 device.atomics.global_atomic_add(
@@ -90,12 +91,7 @@ def run_global_hash(
                 # MFL extraction: the warp re-reads its neighbor labels to
                 # enumerate candidates (the "label values are repeatedly
                 # loaded" issue of Section 2.2) and re-reads the counters.
-                device.memory.load_gather(
-                    batch.neighbor_ids,
-                    ELEM_BYTES,
-                    warp_ids=warp_steps,
-                    array="labels",
-                )
+                device.memory.charge_load(schedule.label_gather)
                 if groups.num_groups:
                     first_of_group = np.concatenate(
                         (
@@ -111,22 +107,6 @@ def run_global_hash(
                     )
             finally:
                 device.free(table_mem)
-
-        # Warp-level loop cost: one warp strides each vertex's list.
-        degrees = graph.degrees[vertices]
-        steps = -(-degrees // device.spec.warp_size)
-        loop_instr = int(steps.sum()) * _LOOP_INSTRUCTIONS
-        device.counters.warp_instructions += loop_instr
-        device.counters.active_lane_sum += int(degrees.sum()) * _LOOP_INSTRUCTIONS
-        device.counters.warp_instructions += (
-            vertices.size * _REDUCE_INSTRUCTIONS
-        )
-        # The reduction only has one live lane per counted label; lanes
-        # beyond the vertex's degree idle through it like the main loop.
-        device.counters.active_lane_sum += int(
-            np.minimum(degrees, device.spec.warp_size).sum()
-        ) * _REDUCE_INSTRUCTIONS
-        device.counters.warps_launched += int(vertices.size)
 
         best_labels, best_scores = mfl.select_best_labels(
             ctx.program, groups, vertices, ctx.current_labels

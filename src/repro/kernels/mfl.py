@@ -104,6 +104,8 @@ class LabelGroups:
     ``vertex_ids[g]``, ``labels[g]``, ``frequencies[g]`` describe group
     ``g``; groups are sorted by ``(vertex, label)``.  ``group_of_edge``
     maps each input edge (in the sorted order ``edge_order``) to its group.
+    ``edge_labels`` holds the label ``load_neighbor`` loaded for each input
+    edge, in batch order, so kernels never run the hook twice.
     """
 
     vertex_ids: np.ndarray
@@ -111,6 +113,7 @@ class LabelGroups:
     frequencies: np.ndarray
     edge_order: np.ndarray
     group_of_edge: np.ndarray
+    edge_labels: Optional[np.ndarray] = None
 
     @property
     def num_groups(self) -> int:
@@ -155,6 +158,7 @@ def aggregate_label_frequencies(
             frequencies=np.empty(0, dtype=WEIGHT_DTYPE),
             edge_order=np.empty(0, dtype=VERTEX_DTYPE),
             group_of_edge=np.empty(0, dtype=VERTEX_DTYPE),
+            edge_labels=labels,
         )
     order = pair_order(batch.vertex_ids, labels)
     sorted_vertices = batch.vertex_ids[order]
@@ -176,6 +180,7 @@ def aggregate_label_frequencies(
         frequencies=frequencies.astype(WEIGHT_DTYPE, copy=False),
         edge_order=order,
         group_of_edge=group_of_edge,
+        edge_labels=labels,
     )
 
 

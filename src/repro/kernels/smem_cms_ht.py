@@ -28,14 +28,15 @@ from repro.kernels import mfl
 from repro.kernels.base import (
     ELEM_BYTES,
     KernelContext,
-    account_common_reads,
+    LaunchSchedule,
     account_label_writeback,
+    common_reads,
     warp_steps_block_per_vertex,
 )
 from repro.gpusim.block import BlockConfig, block_reduce_max_cost
 from repro.sketch.countmin import CountMinSketch
 from repro.sketch.globalhash import GlobalHashTable, combine_keys
-from repro.types import LABEL_DTYPE, WEIGHT_DTYPE
+from repro.types import WEIGHT_DTYPE
 
 #: Warp instructions per block-sized loop step (load, hash, insert branch).
 _LOOP_INSTRUCTIONS = 8
@@ -48,12 +49,68 @@ def _ht_slot_addresses(labels: np.ndarray, capacity: int) -> np.ndarray:
     return (mixed % np.uint64(capacity)).astype(np.int64)
 
 
+def _block_per_vertex_schedule(
+    ctx: KernelContext, vertices: np.ndarray
+) -> LaunchSchedule:
+    """One block per vertex striding its list, block-reduce costs aside."""
+    device = ctx.device
+    graph = ctx.graph
+    config = ctx.config
+    batch = mfl.expand_edges(graph, vertices)
+    warp_steps = warp_steps_block_per_vertex(graph, batch, config.block_size)
+    degrees = graph.degrees[vertices]
+    warps_per_block = BlockConfig(config.block_size).num_warps(
+        device.spec.warp_size
+    )
+    loop_steps = -(-degrees // config.block_size)
+    return LaunchSchedule(
+        vertices=vertices,
+        batch=batch,
+        warp_steps=warp_steps,
+        reads=common_reads(ctx, batch, warp_steps),
+        warp_instructions=int(loop_steps.sum())
+        * warps_per_block
+        * _LOOP_INSTRUCTIONS,
+        active_lane_sum=int(degrees.sum()) * _LOOP_INSTRUCTIONS,
+        warps_launched=int(vertices.size) * warps_per_block,
+        within=batch.edge_positions - graph.offsets[batch.vertex_ids],
+    )
+
+
+def overflow_cms_max_scores(
+    program, vertex_ids, labels, frequencies, depth: int, width: int
+) -> Tuple[np.ndarray, np.ndarray]:
+    """Per owner vertex, the best score over its CMS-estimated labels.
+
+    ``(vertex_ids, labels, frequencies)`` are the overflow groups, sorted
+    by vertex.  Each owner gets its own ``depth x width`` sketch, laid out
+    as one block of a ``(owners, depth * width)`` table; one unbuffered
+    ``np.add.at`` per row over the groups in vertex-major order gives every
+    bucket the float sum a per-vertex :class:`CountMinSketch` would hold.
+    Returns ``(owners, max_scores)``; a NaN score makes its owner's
+    maximum NaN.
+    """
+    new_owner = np.concatenate(([True], vertex_ids[1:] != vertex_ids[:-1]))
+    owner_starts = np.flatnonzero(new_owner)
+    block = (np.cumsum(new_owner) - 1) * (depth * width)
+    table = np.zeros(owner_starts.size * depth * width, dtype=np.float64)
+    bucket_rows = CountMinSketch(depth, width).bucket_addresses(labels)
+    for row in range(depth):
+        np.add.at(table, block + bucket_rows[row], frequencies)
+    estimates = np.full(labels.size, np.inf)
+    for row in range(depth):
+        np.minimum(estimates, table[block + bucket_rows[row]], out=estimates)
+    scores = np.asarray(
+        program.score(vertex_ids, labels, estimates), dtype=WEIGHT_DTYPE
+    )
+    return vertex_ids[owner_starts], np.maximum.reduceat(scores, owner_starts)
+
+
 def run_smem_cms_ht(
     ctx: KernelContext, vertices: np.ndarray
 ) -> Tuple[np.ndarray, np.ndarray]:
     """Run ``SharedMemBigNodes`` over the high-degree ``vertices``."""
     device = ctx.device
-    graph = ctx.graph
     config = ctx.config
     vertices = np.asarray(vertices, dtype=np.int64)
     if vertices.size == 0:
@@ -70,29 +127,22 @@ def run_smem_cms_ht(
     # counters [2*capacity, 2*capacity + depth*width).
     smem_words = config.ht_capacity * 2 + config.cms_depth * config.cms_width
 
-    batch = mfl.expand_edges(graph, vertices)
-    neighbor_labels = ctx.current_labels[batch.neighbor_ids]
-    edge_labels, edge_freqs = ctx.program.load_neighbor(
-        batch.vertex_ids, batch.neighbor_ids, neighbor_labels, batch.edge_weights
-    )
-    edge_labels = np.asarray(edge_labels, dtype=LABEL_DTYPE)
-    edge_freqs = np.asarray(edge_freqs, dtype=WEIGHT_DTYPE)
+    schedule = ctx.schedule("smem-cms-ht", vertices, _block_per_vertex_schedule)
+    batch = schedule.batch
+    warp_steps = schedule.warp_steps
     groups = mfl.aggregate_label_frequencies(
         ctx.program, batch, ctx.current_labels
     )
+    edge_labels = groups.edge_labels
 
     with device.launch("smem-cms-ht"):
-        warp_steps = warp_steps_block_per_vertex(
-            graph, batch, config.block_size
-        )
-        account_common_reads(ctx, batch, warp_steps)
+        schedule.charge(device)
 
         # ------------------------------------------------------------------
         # HT residency: with full-table probing the resident set of each
         # vertex is the first `ht_capacity` distinct labels in arrival order.
         # ------------------------------------------------------------------
-        within = batch.edge_positions - graph.offsets[batch.vertex_ids]
-        sorted_within = within[groups.edge_order]
+        sorted_within = schedule.within[groups.edge_order]
         group_starts = np.flatnonzero(
             np.concatenate(
                 ([True], groups.group_of_edge[1:] != groups.group_of_edge[:-1])
@@ -167,27 +217,20 @@ def run_smem_cms_ht(
         ht_scores = np.where(resident, scores, -np.inf)
         s_ht = np.maximum.reduceat(ht_scores, vertex_group_starts)
 
-        overflow_vertex_ids = groups.vertex_ids[~resident]
         fallback_mask = np.zeros(unique_vertices.size, dtype=bool)
-        if overflow_vertex_ids.size:
+        if not resident.all():
             # Only vertices with overflow labels can possibly fall back.
-            for v in np.unique(overflow_vertex_ids):
-                v_groups = (groups.vertex_ids == v) & (~resident)
-                labels_v = groups.labels[v_groups]
-                freqs_v = groups.frequencies[v_groups]
-                sketch = CountMinSketch(config.cms_depth, config.cms_width)
-                estimates = sketch.add(labels_v, freqs_v)
-                cms_scores = np.asarray(
-                    ctx.program.score(
-                        np.full(labels_v.size, v, dtype=np.int64),
-                        labels_v,
-                        estimates,
-                    ),
-                    dtype=WEIGHT_DTYPE,
-                )
-                slot = int(np.searchsorted(unique_vertices, v))
-                if cms_scores.size and cms_scores.max() > s_ht[slot]:
-                    fallback_mask[slot] = True
+            overflow = ~resident
+            owners, s_cms = overflow_cms_max_scores(
+                ctx.program,
+                groups.vertex_ids[overflow],
+                groups.labels[overflow],
+                groups.frequencies[overflow],
+                config.cms_depth,
+                config.cms_width,
+            )
+            owner_slots = np.searchsorted(unique_vertices, owners)
+            fallback_mask[owner_slots] = s_cms > s_ht[owner_slots]
 
         # ------------------------------------------------------------------
         # Global fallback: count overflow labels exactly in a global table.
@@ -215,16 +258,9 @@ def run_smem_cms_ht(
                 )
 
         # ------------------------------------------------------------------
-        # Loop + reduction instruction costs.
+        # Reduction costs (the loop costs are in the schedule).
         # ------------------------------------------------------------------
-        degrees = graph.degrees[vertices]
         block_cfg = BlockConfig(config.block_size)
-        warps_per_block = block_cfg.num_warps(device.spec.warp_size)
-        loop_steps = -(-degrees // config.block_size)
-        warp_instr = int(loop_steps.sum()) * warps_per_block * _LOOP_INSTRUCTIONS
-        device.counters.warp_instructions += warp_instr
-        device.counters.active_lane_sum += int(degrees.sum()) * _LOOP_INSTRUCTIONS
-        device.counters.warps_launched += int(vertices.size) * warps_per_block
         # Two BlockReduce(max) per vertex, a third on the fallback path.
         block_reduce_max_cost(
             2 * vertices.size + int(fallback_mask.sum()),

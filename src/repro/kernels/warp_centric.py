@@ -6,7 +6,10 @@ Three scheduling strategies for small neighbor lists:
   *multiple* whole vertices at once, counting label frequencies with
   ``__ballot_sync`` / ``__match_any_sync`` / ``__popc`` instead of atomics.
   The intrinsics are executed for real (on the simulator's bit-exact
-  implementations) and their ``popc`` counts *are* the frequencies used.
+  implementations); their ``popc`` counts feed the
+  ``warp_multi_popc_edges`` statistic, while the labels come from the
+  shared group-by (:func:`repro.kernels.mfl.aggregate_label_frequencies`),
+  whose unit-weight frequencies the popc counts equal.
 * :func:`run_thread_per_vertex` — the one-thread-one-vertex baseline: no
   idle lanes, but every lane walks a different neighbor list, so loads are
   maximally uncoalesced and the warp stalls on its slowest lane.
@@ -22,6 +25,7 @@ whose occurrences all sit in one warp.
 
 from __future__ import annotations
 
+import functools
 from typing import Tuple
 
 import numpy as np
@@ -29,10 +33,11 @@ import numpy as np
 from repro.kernels import mfl
 from repro.kernels.base import (
     KernelContext,
-    account_common_reads,
+    LaunchSchedule,
     account_label_writeback,
+    common_reads,
+    warp_per_vertex_schedule,
     warp_steps_one_thread_per_vertex,
-    warp_steps_one_warp_per_vertex,
 )
 from repro.gpusim import warp as warp_intrinsics
 
@@ -97,6 +102,35 @@ def _pack_lanes(
     )
 
 
+def _warp_multi_schedule(
+    ctx: KernelContext, vertices: np.ndarray
+) -> LaunchSchedule:
+    """Whole-vertex lane packing, its reads and its instruction counts."""
+    device = ctx.device
+    warp_size = device.spec.warp_size
+    degrees = ctx.graph.degrees[vertices]
+    # Pack in (degree, id) order so each warp holds same-degree vertices.
+    pack_order = np.lexsort((vertices, degrees))
+    batch = mfl.expand_edges(ctx.graph, vertices[pack_order])
+    edge_warp, edge_lane, num_warps = _pack_lanes(
+        degrees[pack_order], batch.vertices, warp_size
+    )
+    lane_slots = edge_warp * warp_size + edge_lane
+    active = np.zeros((num_warps, warp_size), dtype=bool)
+    active.ravel()[lane_slots] = True
+    return LaunchSchedule(
+        vertices=vertices,
+        batch=batch,
+        warp_steps=edge_warp,
+        reads=common_reads(ctx, batch, edge_warp),
+        warp_instructions=num_warps * _WARP_MULTI_INSTRUCTIONS,
+        active_lane_sum=batch.num_edges * _WARP_MULTI_INSTRUCTIONS,
+        warps_launched=num_warps,
+        lane_slots=lane_slots,
+        active_lanes=active,
+    )
+
+
 def run_warp_multi(
     ctx: KernelContext, vertices: np.ndarray
 ) -> Tuple[np.ndarray, np.ndarray]:
@@ -106,66 +140,41 @@ def run_warp_multi(
     vertex array.
     """
     device = ctx.device
-    graph = ctx.graph
-    warp_size = device.spec.warp_size
     vertices = np.sort(np.asarray(vertices, dtype=np.int64))
     if vertices.size == 0:
         return np.empty(0, dtype=np.int64), np.empty(0, dtype=np.float64)
 
-    degrees = graph.degrees[vertices]
-    # Pack in (degree, id) order so each warp holds same-degree vertices.
-    pack_order = np.lexsort((vertices, degrees))
-    packed_vertices = vertices[pack_order]
-    batch = mfl.expand_edges(graph, packed_vertices)
+    schedule = ctx.schedule("warp-multi", vertices, _warp_multi_schedule)
+    batch = schedule.batch
     groups = mfl.aggregate_label_frequencies(
         ctx.program, batch, ctx.current_labels
     )
 
     with device.launch("warp-multi"):
-        edge_warp, edge_lane, num_warps = _pack_lanes(
-            degrees[pack_order], packed_vertices, warp_size
-        )
-        account_common_reads(ctx, batch, edge_warp)
+        schedule.charge(device)
 
-        if num_warps:
+        if schedule.warps_launched:
             # ----------------------------------------------------------
-            # Genuine intrinsic execution: lay edges onto (warp, lane)
-            # grids and run ballot / match_any / popc.
+            # Genuine intrinsic execution: lay (vertex, label) keys onto
+            # the (warp, lane) grid and run ballot / match_any / popc.
+            # The paper's first match_any (vmask, lanes of one vertex)
+            # only finds the groups the packing laid out, so only the
+            # packed (vertex, label) key is matched: it realizes the
+            # second match_any over labels within a vertex group.
             # ----------------------------------------------------------
-            lane_vertices = np.full((num_warps, warp_size), -1, dtype=np.int64)
-            lane_labels = np.zeros((num_warps, warp_size), dtype=np.int64)
-            neighbor_labels = ctx.current_labels[batch.neighbor_ids]
-            loaded_labels, loaded_freqs = ctx.program.load_neighbor(
-                batch.vertex_ids,
-                batch.neighbor_ids,
-                neighbor_labels,
-                batch.edge_weights,
+            active = schedule.active_lanes
+            combined = np.zeros(active.shape, dtype=np.int64)
+            combined.ravel()[schedule.lane_slots] = (
+                batch.vertex_ids * np.int64(1 << 32) + groups.edge_labels
             )
-            lane_vertices[edge_warp, edge_lane] = batch.vertex_ids
-            lane_labels[edge_warp, edge_lane] = loaded_labels
-
-            active = lane_vertices >= 0
             warp_intrinsics.ballot_sync(active, active)
-            # vmask (threads on the same vertex) and lmask (same vertex AND
-            # same label); the packed (vertex, label) key realizes the
-            # paper's second match_any over labels within a vertex group.
-            warp_intrinsics.match_any_sync(active, lane_vertices)
-            combined = lane_vertices * np.int64(1 << 32) + lane_labels
             lmask = warp_intrinsics.match_any_sync(active, combined)
             lane_freq = warp_intrinsics.popc(lmask)
-
-            device.counters.warp_instructions += (
-                num_warps * _WARP_MULTI_INSTRUCTIONS
-            )
-            device.counters.active_lane_sum += (
-                int(active.sum()) * _WARP_MULTI_INSTRUCTIONS
-            )
-            device.counters.warps_launched += num_warps
 
             # Differential check hook: with unit weights the popc counts
             # must equal the group-by frequencies.
             ctx.stats["warp_multi_popc_edges"] = int(lane_freq[active].sum())
-            ctx.stats["warp_multi_warps"] = num_warps
+            ctx.stats["warp_multi_warps"] = schedule.warps_launched
 
         best_labels, best_scores = mfl.select_best_labels(
             ctx.program, groups, vertices, ctx.current_labels
@@ -175,44 +184,53 @@ def run_warp_multi(
     return best_labels, best_scores
 
 
+def _thread_per_vertex_schedule(
+    ctx: KernelContext, vertices: np.ndarray
+) -> LaunchSchedule:
+    """One lane per vertex: scattered reads, slowest-lane pair counting."""
+    device = ctx.device
+    batch = mfl.expand_edges(ctx.graph, vertices)
+    warp_steps = warp_steps_one_thread_per_vertex(ctx.graph, batch)
+    # Each thread counts its list in registers: O(d^2) compares; the
+    # warp advances at the pace of its slowest lane.
+    pair_work = ctx.graph.degrees[vertices].astype(np.int64) ** 2
+    warp_of_vertex = (
+        np.arange(vertices.size, dtype=np.int64) // device.spec.warp_size
+    )
+    warp_steps_max = np.zeros(int(warp_of_vertex.max()) + 1, dtype=np.int64)
+    np.maximum.at(warp_steps_max, warp_of_vertex, pair_work)
+    return LaunchSchedule(
+        vertices=vertices,
+        batch=batch,
+        warp_steps=warp_steps,
+        reads=common_reads(
+            ctx, batch, warp_steps, neighbor_ids_scattered=True
+        ),
+        warp_instructions=int(warp_steps_max.sum())
+        * _THREAD_PAIR_INSTRUCTIONS,
+        active_lane_sum=int(pair_work.sum()) * _THREAD_PAIR_INSTRUCTIONS,
+        warps_launched=int(warp_steps_max.size),
+    )
+
+
 def run_thread_per_vertex(
     ctx: KernelContext, vertices: np.ndarray
 ) -> Tuple[np.ndarray, np.ndarray]:
     """One-thread-one-vertex baseline (register pairwise counting)."""
     device = ctx.device
-    graph = ctx.graph
     vertices = np.sort(np.asarray(vertices, dtype=np.int64))
     if vertices.size == 0:
         return np.empty(0, dtype=np.int64), np.empty(0, dtype=np.float64)
 
-    batch = mfl.expand_edges(graph, vertices)
+    schedule = ctx.schedule(
+        "thread-per-vertex", vertices, _thread_per_vertex_schedule
+    )
     groups = mfl.aggregate_label_frequencies(
-        ctx.program, batch, ctx.current_labels
+        ctx.program, schedule.batch, ctx.current_labels
     )
 
     with device.launch("thread-per-vertex"):
-        warp_steps = warp_steps_one_thread_per_vertex(graph, batch)
-        account_common_reads(
-            ctx, batch, warp_steps, neighbor_ids_scattered=True
-        )
-
-        # Each thread counts its list in registers: O(d^2) compares; the
-        # warp advances at the pace of its slowest lane.
-        degrees = graph.degrees[vertices].astype(np.int64)
-        warp_of_vertex = (
-            np.arange(vertices.size, dtype=np.int64) // device.spec.warp_size
-        )
-        pair_work = degrees**2
-        warp_steps_max = np.zeros(int(warp_of_vertex.max()) + 1, dtype=np.int64)
-        np.maximum.at(warp_steps_max, warp_of_vertex, pair_work)
-        device.counters.warp_instructions += (
-            int(warp_steps_max.sum()) * _THREAD_PAIR_INSTRUCTIONS
-        )
-        device.counters.active_lane_sum += (
-            int(pair_work.sum()) * _THREAD_PAIR_INSTRUCTIONS
-        )
-        device.counters.warps_launched += int(warp_steps_max.size)
-
+        schedule.charge(device)
         best_labels, best_scores = mfl.select_best_labels(
             ctx.program, groups, vertices, ctx.current_labels
         )
@@ -231,50 +249,38 @@ def run_warp_shared_ht(
     never touches global memory.
     """
     device = ctx.device
-    graph = ctx.graph
     config = ctx.config
     vertices = np.sort(np.asarray(vertices, dtype=np.int64))
     if vertices.size == 0:
         return np.empty(0, dtype=np.int64), np.empty(0, dtype=np.float64)
 
     device.shared.check_allocation(config.ht_capacity * 8)
-    batch = mfl.expand_edges(graph, vertices)
+    schedule = ctx.schedule(
+        "warp-shared-ht",
+        vertices,
+        functools.partial(
+            warp_per_vertex_schedule,
+            loop_instructions=_SHARED_HT_INSTRUCTIONS,
+        ),
+    )
     groups = mfl.aggregate_label_frequencies(
-        ctx.program, batch, ctx.current_labels
+        ctx.program, schedule.batch, ctx.current_labels
     )
 
     with device.launch("warp-shared-ht"):
-        warp_steps = warp_steps_one_warp_per_vertex(graph, batch)
-        account_common_reads(ctx, batch, warp_steps)
+        schedule.charge(device)
 
-        neighbor_labels = ctx.current_labels[batch.neighbor_ids]
-        loaded_labels, _ = ctx.program.load_neighbor(
-            batch.vertex_ids,
-            batch.neighbor_ids,
-            neighbor_labels,
-            batch.edge_weights,
-        )
-        mixed = np.asarray(loaded_labels).astype(np.uint64) * np.uint64(
+        mixed = groups.edge_labels.astype(np.uint64) * np.uint64(
             0x9E3779B97F4A7C15
         )
         mixed ^= mixed >> np.uint64(29)
         slot = (mixed % np.uint64(config.ht_capacity)).astype(np.int64)
         device.atomics.shared_atomic_add(
             slot,
-            warp_ids=warp_steps,
+            warp_ids=schedule.warp_steps,
             array="warp-ht",
             size=config.ht_capacity * 2,
         )
-
-        degrees = graph.degrees[vertices]
-        steps = -(-degrees // device.spec.warp_size)
-        device.counters.warp_instructions += (
-            int(steps.sum()) * _SHARED_HT_INSTRUCTIONS
-        )
-        device.counters.active_lane_sum += (
-            int(degrees.sum()) * _SHARED_HT_INSTRUCTIONS
-        )
-        device.counters.warps_launched += int(vertices.size)
 
         best_labels, best_scores = mfl.select_best_labels(
             ctx.program, groups, vertices, ctx.current_labels

@@ -12,7 +12,9 @@ from repro.kernels.base import KernelContext, StrategyConfig
 from repro.kernels.global_hash import run_global_hash
 from repro.kernels.segmented_sort import run_segmented_sort
 from repro.kernels.smem_cms_ht import run_smem_cms_ht
-from repro.kernels.warp_centric import run_warp_multi
+from repro.gpusim import warp as warp_intrinsics
+from repro.kernels import mfl
+from repro.kernels.warp_centric import _warp_multi_schedule, run_warp_multi
 from repro.types import LABEL_DTYPE
 
 
@@ -163,6 +165,39 @@ class TestWarpPacking:
         # sum over lanes of freq(lane) = sum over groups freq^2 >= edges.
         total_edges = int(road_graph.degrees[low].sum())
         assert ctx.stats["warp_multi_popc_edges"] >= total_edges
+
+    @pytest.mark.parametrize("modulus", [1, 3, 11, 10**6])
+    def test_popc_equals_group_frequency(self, road_graph, modulus):
+        """With unit weights each active lane's popc is the aggregated
+        frequency of its (vertex, label) group, so the statistic is the
+        sum of squared group frequencies."""
+        labels = (
+            np.arange(road_graph.num_vertices, dtype=LABEL_DTYPE) % modulus
+        )
+        low = np.flatnonzero(road_graph.degrees < 32).astype(np.int64)
+        ctx = make_ctx(road_graph, labels)
+        run_warp_multi(ctx, low)
+
+        schedule = _warp_multi_schedule(make_ctx(road_graph, labels), low)
+        batch = schedule.batch
+        groups = mfl.aggregate_label_frequencies(ClassicLP(), batch, labels)
+        assert ctx.stats["warp_multi_popc_edges"] == int(
+            (groups.frequencies**2).sum()
+        )
+        active = schedule.active_lanes
+        keys = np.zeros(active.shape, dtype=np.int64)
+        keys.ravel()[schedule.lane_slots] = (
+            batch.vertex_ids * np.int64(1 << 32) + groups.edge_labels
+        )
+        lane_popc = warp_intrinsics.popc(
+            warp_intrinsics.match_any_sync(active, keys)
+        ).ravel()[schedule.lane_slots]
+        edge_frequency = np.empty(batch.num_edges)
+        edge_frequency[groups.edge_order] = groups.frequencies[
+            groups.group_of_edge
+        ]
+        assert np.array_equal(lane_popc, edge_frequency)
+        assert int(active.sum()) == batch.num_edges
 
 
 class TestGSortProfile:

@@ -17,12 +17,13 @@ from repro.gpusim.device import Device
 from repro.kernels.base import KernelContext, StrategyConfig
 from repro.kernels.global_hash import run_global_hash
 from repro.kernels.segmented_sort import run_segmented_sort
-from repro.kernels.smem_cms_ht import run_smem_cms_ht
+from repro.kernels.smem_cms_ht import overflow_cms_max_scores, run_smem_cms_ht
 from repro.kernels.warp_centric import (
     run_thread_per_vertex,
     run_warp_multi,
     run_warp_shared_ht,
 )
+from repro.sketch.countmin import CountMinSketch
 from repro.types import LABEL_DTYPE
 
 ALL_KERNELS = [
@@ -147,3 +148,54 @@ def test_empty_vertex_subsets():
         got_labels, got_scores = kernel(make_ctx(graph, labels), empty)
         assert got_labels.size == 0
         assert got_scores.size == 0
+
+
+class _NaNScores(ClassicLP):
+    """Scores every label divisible by 3 as NaN."""
+
+    def score(self, vertex_ids, labels, frequencies):
+        return np.where(labels % 3 == 0, np.nan, frequencies)
+
+
+def _per_vertex_cms_max(program, vertex_ids, labels, freqs, depth, width):
+    """Reference: one fresh CountMinSketch per overflow vertex."""
+    owners = np.unique(vertex_ids)
+    best = []
+    for v in owners:
+        mine = vertex_ids == v
+        sketch = CountMinSketch(depth, width)
+        estimates = sketch.add(labels[mine], freqs[mine])
+        best.append(
+            np.asarray(
+                program.score(vertex_ids[mine], labels[mine], estimates)
+            ).max()
+        )
+    return owners, np.array(best)
+
+
+@pytest.mark.parametrize("program", [ClassicLP(), _NaNScores()])
+@pytest.mark.parametrize("depth,width", [(4, 512), (2, 3), (1, 1)])
+def test_overflow_cms_matches_per_vertex_sketches(program, depth, width):
+    rng = np.random.default_rng(depth * 100 + width)
+    rows = sorted(
+        {
+            (int(v), int(label))
+            for v, label in zip(
+                rng.integers(0, 40, 600), rng.integers(0, 300, 600)
+            )
+        }
+    )
+    vertex_ids = np.array([r[0] for r in rows], dtype=np.int64)
+    labels = np.array([r[1] for r in rows], dtype=LABEL_DTYPE)
+    # Weighted frequencies: float sums must match bucket for bucket.
+    freqs = rng.random(labels.size) * 7.0 + rng.integers(1, 4, labels.size)
+    owners, best = overflow_cms_max_scores(
+        program, vertex_ids, labels, freqs, depth, width
+    )
+    ref_owners, ref_best = _per_vertex_cms_max(
+        program, vertex_ids, labels, freqs, depth, width
+    )
+    assert np.array_equal(owners, ref_owners)
+    assert np.array_equal(best, ref_best, equal_nan=True)
+    if isinstance(program, _NaNScores):
+        assert np.isnan(best).any()
