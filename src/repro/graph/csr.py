@@ -49,10 +49,13 @@ class CSRGraph:
     _reversed_cache: Optional["CSRGraph"] = field(
         init=False, repr=False, compare=False, default=None
     )
-    #: Set by :class:`~repro.graph.builder.GraphBuilder` when it has proven
-    #: the graph equal to its transpose, bit for bit.  A flag rather than
-    #: ``_reversed_cache = self``: that self-reference is a cycle, which
-    #: keeps every such graph alive until the cyclic GC runs.
+    #: Set when the graph is known to equal its transpose, bit for bit:
+    #: by :class:`~repro.graph.builder.GraphBuilder` after its mirror
+    #: check, and by :func:`~repro.pipeline.window.window_from_pairs` by
+    #: construction (each pair fills two mirror slots with one weight).
+    #: A flag rather than ``_reversed_cache = self``: that self-reference
+    #: is a cycle, which keeps every such graph alive until the cyclic GC
+    #: runs.
     _self_transpose: bool = field(
         init=False, repr=False, compare=False, default=False
     )

@@ -52,37 +52,7 @@ import numpy as np
 
 from repro.errors import PipelineError
 from repro.kernels import mfl
-from repro.pipeline.window import WindowGraph
-
-#: Bit layout of the packed (user, product) pair keys (matches
-#: :mod:`repro.pipeline.incremental`).
-PRODUCT_BITS = 32
-PRODUCT_MASK = (1 << PRODUCT_BITS) - 1
-
-#: Largest user-id space the packed int64 keys can carry: the user id
-#: occupies the high bits, so ``user << PRODUCT_BITS`` must stay below
-#: 2**63.  Streams beyond this must widen the key, not wrap silently.
-MAX_PACKED_USERS = 1 << (63 - PRODUCT_BITS)
-
-
-def pack_pairs(users: np.ndarray, products: np.ndarray) -> np.ndarray:
-    """Pack (user, product) id pairs into sortable int64 keys."""
-    users = np.asarray(users, dtype=np.int64)
-    products = np.asarray(products, dtype=np.int64)
-    if users.size and int(users.max()) >= MAX_PACKED_USERS:
-        raise PipelineError(
-            f"user ids >= {MAX_PACKED_USERS} overflow the packed int64 "
-            "pair keys"
-        )
-    if products.size and int(products.max()) > PRODUCT_MASK:
-        raise PipelineError("product ids overflow the packed pair keys")
-    return (users << PRODUCT_BITS) | products
-
-
-def unpack_pairs(keys: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-    """Unpack int64 pair keys back into (users, products)."""
-    keys = np.asarray(keys, dtype=np.int64)
-    return keys >> PRODUCT_BITS, keys & PRODUCT_MASK
+from repro.pipeline.window import WindowGraph, unpack_pairs
 
 
 @dataclass(frozen=True)

@@ -22,6 +22,7 @@ reprocessed.
 
 from __future__ import annotations
 
+import dataclasses
 import time
 from typing import Dict, Optional, Set, Tuple
 
@@ -31,12 +32,11 @@ from repro import obs
 from repro.core.driver import BSPEngine
 from repro.core.hybrid import run_ladder
 from repro.errors import PipelineError
-from repro.graph.builder import from_edge_arrays
+# Not called here any more: re-exported because the e2e benchmark's tracer
+# wraps ``from_edge_arrays`` in this module by name.
+from repro.graph.builder import from_edge_arrays  # noqa: F401
 from repro.pipeline.detector import ClusterDetector, DetectionResult
 from repro.pipeline.dynlp import (
-    MAX_PACKED_USERS,
-    PRODUCT_BITS as _PRODUCT_BITS,
-    PRODUCT_MASK as _PRODUCT_MASK,
     IncrementalPlan,
     WindowDiff,
     compute_window_diff,
@@ -45,8 +45,14 @@ from repro.pipeline.dynlp import (
 )
 from repro.pipeline.seeds import SeedStore
 from repro.pipeline.transactions import TransactionStream
-from repro.pipeline.window import WindowGraph
-from repro.types import NO_LABEL, VERTEX_DTYPE
+from repro.pipeline.window import (
+    MAX_PACKED_USERS,
+    PRODUCT_MASK,
+    WindowGraph,
+    pack_pairs,
+    window_from_pairs,
+)
+from repro.types import NO_LABEL
 
 
 class IncrementalWindowBuilder:
@@ -60,7 +66,7 @@ class IncrementalWindowBuilder:
     """
 
     def __init__(self, stream: TransactionStream) -> None:
-        if stream.config.num_products > _PRODUCT_MASK:
+        if stream.config.num_products > PRODUCT_MASK:
             raise PipelineError("too many products for packed pair keys")
         # The user id occupies the key's high bits; ids at or above
         # 2**(63-PRODUCT_BITS) would shift into the sign bit and collide
@@ -88,19 +94,27 @@ class IncrementalWindowBuilder:
         """Distinct (user, product) pairs with non-zero weight."""
         return int(self._pair_keys.size)
 
-    def add_day(self, day: int) -> None:
-        """Fold one day's transactions into the window."""
+    def add_day(self, day: int) -> np.ndarray:
+        """Fold one day's transactions into the window.
+
+        Returns the day's distinct pair keys, sorted.
+        """
         if day in self._days:
             raise PipelineError(f"day {day} already in the window")
-        self._apply(day, +1.0)
+        day_keys = self._apply(day, +1.0)
         self._days.add(day)
+        return day_keys
 
-    def retire_day(self, day: int) -> None:
-        """Remove one day's transactions from the window."""
+    def retire_day(self, day: int) -> np.ndarray:
+        """Remove one day's transactions from the window.
+
+        Returns the day's distinct pair keys, sorted.
+        """
         if day not in self._days:
             raise PipelineError(f"day {day} not in the window")
-        self._apply(day, -1.0)
+        day_keys = self._apply(day, -1.0)
         self._days.remove(day)
+        return day_keys
 
     def slide(self) -> WindowDiff:
         """Advance the window by one day (retire oldest, add next).
@@ -120,10 +134,25 @@ class IncrementalWindowBuilder:
         # pre-slide references stay valid for diffing.
         before_keys = self._pair_keys
         before_counts = self._pair_counts
-        self.retire_day(oldest)
-        self.add_day(newest + 1)
+        # Only pairs of the retired or the added day can change, so the
+        # diff reads just those rows of the two tables.  Both days' keys
+        # are sorted, so a stable sort merges them in linear time (numpy
+        # 2's ``union1d`` hashes instead, over ten times slower here).
+        touched = np.concatenate(
+            [self.retire_day(oldest), self.add_day(newest + 1)]
+        )
+        touched.sort(kind="stable")
+        distinct = np.ones(touched.size, dtype=bool)
+        np.not_equal(touched[1:], touched[:-1], out=distinct[1:])
+        touched = touched[distinct]
         diff = compute_window_diff(
-            before_keys, before_counts, self._pair_keys, self._pair_counts
+            *_rows(before_keys, before_counts, touched),
+            *_rows(self._pair_keys, self._pair_counts, touched),
+        )
+        diff = dataclasses.replace(
+            diff,
+            num_pairs_before=int(before_keys.size),
+            num_pairs_after=int(self._pair_keys.size),
         )
         self.last_diff = diff
         return diff
@@ -148,7 +177,7 @@ class IncrementalWindowBuilder:
         self._days = set(snapshot["days"])
         self.last_diff = snapshot["last_diff"]
 
-    def _apply(self, day: int, sign: float) -> None:
+    def _apply(self, day: int, sign: float) -> np.ndarray:
         """Fold one day's transactions in (+1) or out (-1), vectorized.
 
         Aggregates the day to unique (user, product) pairs with
@@ -156,21 +185,19 @@ class IncrementalWindowBuilder:
         search, and drops pairs whose count retires to zero — the exact
         semantics of the old per-transaction dict loop (counts are sums of
         ±1.0, which float64 represents exactly).  The merge builds new
-        arrays and never writes to the current ones.
+        arrays and never writes to the current ones.  Returns the day's
+        distinct pair keys, sorted.
         """
         transactions = self.stream.window_transactions(day, 1)
         if transactions.size == 0:
-            return
-        day_keys = (
-            transactions["user"].astype(np.int64) << _PRODUCT_BITS
-        ) | transactions["product"].astype(np.int64)
-        day_keys, day_counts = np.unique(day_keys, return_counts=True)
+            return np.empty(0, dtype=np.int64)
+        day_keys, day_counts = np.unique(
+            pack_pairs(transactions["user"], transactions["product"]),
+            return_counts=True,
+        )
         day_counts = sign * day_counts
 
-        positions = np.searchsorted(self._pair_keys, day_keys)
-        found = np.zeros(day_keys.size, dtype=bool)
-        inside = positions < self._pair_keys.size
-        found[inside] = self._pair_keys[positions[inside]] == day_keys[inside]
+        positions, found = _locate(self._pair_keys, day_keys)
         counts = self._pair_counts.copy()
         counts[positions[found]] += day_counts[found]
         new = ~found
@@ -183,43 +210,42 @@ class IncrementalWindowBuilder:
         counts.setflags(write=False)
         self._pair_keys = keys
         self._pair_counts = counts
+        return day_keys
 
     # ------------------------------------------------------------------
     def build(self) -> WindowGraph:
         """Materialize the current window as a :class:`WindowGraph`."""
         if not self._days:
             raise PipelineError("window is empty")
-        users = self._pair_keys >> _PRODUCT_BITS
-        products = self._pair_keys & _PRODUCT_MASK
-
-        # The keys are sorted by user, so users compact in one run-length
-        # pass; products compact through a mask over the product universe.
-        # Both give exactly ``np.unique(..., return_inverse=True)``.
-        new_user = np.ones(users.size, dtype=bool)
-        np.not_equal(users[1:], users[:-1], out=new_user[1:])
-        window_users = users[new_user]
-        user_index = np.cumsum(new_user) - 1
-        present = np.zeros(self.stream.config.num_products, dtype=bool)
-        present[products] = True
-        window_products = np.flatnonzero(present)
-        product_index = (np.cumsum(present) - 1)[products]
-        num_users = window_users.size
         start = min(self._days)
-        graph = from_edge_arrays(
-            user_index.astype(VERTEX_DTYPE),
-            (product_index + num_users).astype(VERTEX_DTYPE),
-            num_users + window_products.size,
-            weights=self._pair_counts,
-            symmetrize=True,
-            name=f"window-inc-{len(self._days)}d@{start}",
-        )
-        return WindowGraph(
-            graph=graph,
-            users=window_users,
-            products=window_products,
+        return window_from_pairs(
+            self._pair_keys,
+            self._pair_counts,
+            self.stream.config.num_products,
             start_day=start,
             num_days=len(self._days),
+            name=f"window-inc-{len(self._days)}d@{start}",
         )
+
+
+def _locate(
+    keys: np.ndarray, queries: np.ndarray
+) -> Tuple[np.ndarray, np.ndarray]:
+    """Insertion positions of sorted ``queries`` in sorted ``keys``, and
+    which of them are present there."""
+    positions = np.searchsorted(keys, queries)
+    found = np.zeros(queries.size, dtype=bool)
+    inside = positions < keys.size
+    found[inside] = keys[positions[inside]] == queries[inside]
+    return positions, found
+
+
+def _rows(
+    keys: np.ndarray, counts: np.ndarray, queries: np.ndarray
+) -> Tuple[np.ndarray, np.ndarray]:
+    """The rows of a sorted pair table whose keys are among ``queries``."""
+    positions, found = _locate(keys, queries)
+    return queries[found], counts[positions[found]]
 
 
 def warm_start_seeds(

@@ -8,23 +8,56 @@ into a bipartite user-product CSR graph:
 
 * window vertex ids ``[0, num_window_users)`` are the touched users (in
   ascending global-id order), followed by the touched products;
-* edge weights are per-pair transaction counts (the dedup-sum of the
-  builder);
-* the graph is symmetrized — LP propagates both ways through products.
+* edge weights are per-pair transaction counts, aggregated over packed
+  (user, product) keys;
+* the graph is undirected — LP propagates both ways through products.
+
+Batch windows (:func:`build_window_graph`) and incremental windows
+(:class:`~repro.pipeline.incremental.IncrementalWindowBuilder`) both end in
+:func:`window_from_pairs`, which lays the CSR out straight from the sorted
+unique pair list.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator, Optional
+from typing import Iterator, Optional, Tuple
 
 import numpy as np
 
 from repro.errors import PipelineError
-from repro.graph.builder import from_edge_arrays
 from repro.graph.csr import CSRGraph
 from repro.pipeline.transactions import TransactionStream
 from repro.types import VERTEX_DTYPE
+
+#: Bit layout of the packed (user, product) pair keys.
+PRODUCT_BITS = 32
+PRODUCT_MASK = (1 << PRODUCT_BITS) - 1
+
+#: Largest user-id space the packed int64 keys can carry: the user id
+#: occupies the high bits, so ``user << PRODUCT_BITS`` must stay below
+#: 2**63.  Streams beyond this must widen the key, not wrap silently.
+MAX_PACKED_USERS = 1 << (63 - PRODUCT_BITS)
+
+
+def pack_pairs(users: np.ndarray, products: np.ndarray) -> np.ndarray:
+    """Pack (user, product) id pairs into sortable int64 keys."""
+    users = np.asarray(users, dtype=np.int64)
+    products = np.asarray(products, dtype=np.int64)
+    if users.size and int(users.max()) >= MAX_PACKED_USERS:
+        raise PipelineError(
+            f"user ids >= {MAX_PACKED_USERS} overflow the packed int64 "
+            "pair keys"
+        )
+    if products.size and int(products.max()) > PRODUCT_MASK:
+        raise PipelineError("product ids overflow the packed pair keys")
+    return (users << PRODUCT_BITS) | products
+
+
+def unpack_pairs(keys: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """Unpack int64 pair keys back into (users, products)."""
+    keys = np.asarray(keys, dtype=np.int64)
+    return keys >> PRODUCT_BITS, keys & PRODUCT_MASK
 
 
 @dataclass(frozen=True)
@@ -75,6 +108,82 @@ class WindowGraph:
         return result
 
 
+def window_from_pairs(
+    pair_keys: np.ndarray,
+    pair_counts: np.ndarray,
+    num_products: int,
+    *,
+    start_day: int,
+    num_days: int,
+    name: str,
+) -> WindowGraph:
+    """Lay out a window's undirected CSR from its sorted unique pair list.
+
+    ``pair_keys`` are packed (user, product) keys, sorted ascending and
+    unique; ``pair_counts`` are their float64 interaction counts;
+    ``num_products`` bounds the product ids.  The result is bitwise the
+    ``from_edge_arrays(..., symmetrize=True)`` build of the same pairs,
+    without its sort:
+
+    * the keys are sorted by (user, product) and compaction keeps order,
+      so the user rows are the pair list itself;
+    * the product rows are one stable sort of the product index, which
+      keeps each product's users ascending.
+
+    Every pair sits in its user's row and its product's row with the same
+    weight, so the graph is its own transpose by construction.
+    """
+    # The outputs are allocated first and filled in place, so the build
+    # makes no concatenation temporaries.
+    num_pairs = pair_keys.size
+    indices = np.empty(2 * num_pairs, dtype=VERTEX_DTYPE)
+    weights = np.empty(2 * num_pairs, dtype=np.float64)
+    users, products = unpack_pairs(pair_keys)
+    # Users compact in one run-length pass over the sorted keys, products
+    # through a mask over the product universe; both keep id order.
+    new_user = np.ones(users.size, dtype=bool)
+    np.not_equal(users[1:], users[:-1], out=new_user[1:])
+    window_users = users[new_user]
+    user_index = np.cumsum(new_user)
+    user_index -= 1
+    present = np.zeros(num_products, dtype=bool)
+    present[products] = True
+    window_products = np.flatnonzero(present)
+    product_index = (np.cumsum(present) - 1)[products]
+    num_users = window_users.size
+    num_window_products = window_products.size
+
+    # numpy radix-sorts keys of 16 bits or fewer, so the narrowest dtype
+    # that holds the product index makes this stable sort linear.
+    order = np.argsort(
+        product_index.astype(np.min_scalar_type(num_window_products)),
+        kind="stable",
+    )
+    degrees = np.concatenate(
+        [
+            np.bincount(user_index, minlength=num_users),
+            np.bincount(product_index, minlength=num_window_products),
+        ]
+    )
+    offsets = np.zeros(num_users + num_window_products + 1, dtype=VERTEX_DTYPE)
+    np.cumsum(degrees, out=offsets[1:])
+    np.add(product_index, num_users, out=indices[:num_pairs])
+    np.take(user_index, order, out=indices[num_pairs:])
+    weights[:num_pairs] = pair_counts
+    np.take(pair_counts, order, out=weights[num_pairs:])
+    graph = CSRGraph(
+        offsets=offsets, indices=indices, weights=weights, name=name
+    )
+    object.__setattr__(graph, "_self_transpose", True)
+    return WindowGraph(
+        graph=graph,
+        users=window_users,
+        products=window_products,
+        start_day=start_day,
+        num_days=num_days,
+    )
+
+
 def build_window_graph(
     stream: TransactionStream,
     start_day: int,
@@ -84,31 +193,19 @@ def build_window_graph(
 ) -> WindowGraph:
     """Build the interaction graph of one sliding window."""
     transactions = stream.window_transactions(start_day, num_days)
-    users = transactions["user"]
-    products = transactions["product"]
-
-    window_users, user_index = np.unique(users, return_inverse=True)
-    window_products, product_index = np.unique(products, return_inverse=True)
-    num_users = window_users.size
-
-    src = user_index.astype(VERTEX_DTYPE)
-    dst = (product_index + num_users).astype(VERTEX_DTYPE)
-    num_vertices = num_users + window_products.size
-    graph_name = name if name is not None else f"window-{num_days}d@{start_day}"
-    graph = from_edge_arrays(
-        src,
-        dst,
-        num_vertices,
-        weights=np.ones(src.size, dtype=np.float64),
-        symmetrize=True,
-        name=graph_name,
+    pair_keys, pair_counts = np.unique(
+        pack_pairs(transactions["user"], transactions["product"]),
+        return_counts=True,
     )
-    return WindowGraph(
-        graph=graph,
-        users=window_users,
-        products=window_products,
+    # Counts are integers, exact in float64: the weights equal a per-pair
+    # sum of unit transaction weights bit for bit.
+    return window_from_pairs(
+        pair_keys,
+        pair_counts.astype(np.float64),
+        stream.config.num_products,
         start_day=start_day,
         num_days=num_days,
+        name=name if name is not None else f"window-{num_days}d@{start_day}",
     )
 
 

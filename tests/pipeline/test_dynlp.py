@@ -1,7 +1,8 @@
 """Tests for DynLP-style incremental slide planning and serving.
 
-Covers ``repro.pipeline.dynlp`` (packed pair keys, window diffs, the
-affected-vertex computation, slide planning) and the incremental mode of
+Covers the packed pair keys of ``repro.pipeline.window``,
+``repro.pipeline.dynlp`` (window diffs, the affected-vertex computation,
+slide planning) and the incremental mode of
 :class:`~repro.pipeline.incremental.SlidingWindowDetector` — including
 the bitwise incremental-vs-full identity and the rule that a degraded
 slide recomputes in full rather than serving stale labels.
@@ -16,16 +17,12 @@ from repro import GLPEngine, obs
 from repro.errors import PipelineError
 from repro.pipeline.detector import ClusterDetector
 from repro.pipeline.dynlp import (
-    MAX_PACKED_USERS,
-    PRODUCT_MASK,
     WindowDiff,
     affected_vertices,
     compute_window_diff,
     diff_endpoint_vertices,
     map_previous_vertices,
-    pack_pairs,
     plan_slide,
-    unpack_pairs,
 )
 from repro.pipeline.incremental import (
     IncrementalWindowBuilder,
@@ -33,8 +30,15 @@ from repro.pipeline.incremental import (
 )
 from repro.pipeline.seeds import SeedStore
 from repro.pipeline.transactions import (
+    TRANSACTION_DTYPE,
     TransactionStream,
     TransactionStreamConfig,
+)
+from repro.pipeline.window import (
+    MAX_PACKED_USERS,
+    PRODUCT_MASK,
+    pack_pairs,
+    unpack_pairs,
 )
 from repro.resilience import FaultPlan, inject
 
@@ -188,6 +192,72 @@ class TestBuilderDiff:
         assert builder.last_diff is not first
         builder.restore(snapshot)
         assert builder.last_diff is first
+
+    @staticmethod
+    def _slide_matching_full_diff(builder):
+        """Slide once; assert the touched-pair diff equals the diff of the
+        full before/after tables, field for field."""
+        before = builder.snapshot()
+        diff = builder.slide()
+        after = builder.snapshot()
+        full = compute_window_diff(
+            before["pair_keys"], before["pair_counts"],
+            after["pair_keys"], after["pair_counts"],
+        )
+        for field in ("added_keys", "removed_keys", "reweighted_keys"):
+            got, want = getattr(diff, field), getattr(full, field)
+            assert got.dtype == want.dtype
+            assert got.tobytes() == want.tobytes()
+        assert diff.num_pairs_before == full.num_pairs_before
+        assert diff.num_pairs_after == full.num_pairs_after
+        return diff
+
+    @pytest.mark.parametrize("seed", [0, 3])
+    def test_touched_pair_diff_equals_full_diff(self, seed):
+        """Every slide of the e2e benchmark's 65-day stream."""
+        stream = TransactionStream(
+            TransactionStreamConfig(num_days=65, seed=seed)
+        )
+        builder = IncrementalWindowBuilder(stream)
+        for day in range(14):
+            builder.add_day(day)
+        slides = 0
+        while max(builder.days) < stream.config.num_days - 1:
+            self._slide_matching_full_diff(builder)
+            slides += 1
+        assert slides == 51
+
+    def test_crafted_slides_match_full_diff(self):
+        # Day 0's pair (1, 2) comes back on day 2 with the same count, and
+        # day 3 is empty.
+        days = [[(1, 2), (3, 4)], [(5, 6), (5, 6)], [(1, 2)], []]
+        config = types.SimpleNamespace(
+            num_users=10, num_products=10, num_days=len(days)
+        )
+
+        def window_transactions(start, num_days):
+            pairs = [pair for day in days[start:start + num_days]
+                     for pair in day]
+            transactions = np.zeros(len(pairs), dtype=TRANSACTION_DTYPE)
+            if pairs:
+                transactions["user"], transactions["product"] = zip(*pairs)
+            return transactions
+
+        builder = IncrementalWindowBuilder(types.SimpleNamespace(
+            config=config, window_transactions=window_transactions
+        ))
+        builder.add_day(0)
+        builder.add_day(1)
+
+        diff = self._slide_matching_full_diff(builder)
+        assert diff.removed_keys.tolist() == pack_pairs([3], [4]).tolist()
+        assert diff.num_added == diff.num_reweighted == 0
+        assert (diff.num_pairs_before, diff.num_pairs_after) == (3, 2)
+
+        diff = self._slide_matching_full_diff(builder)  # adds the empty day
+        assert diff.removed_keys.tolist() == pack_pairs([5], [6]).tolist()
+        assert diff.num_added == diff.num_reweighted == 0
+        assert (diff.num_pairs_before, diff.num_pairs_after) == (2, 1)
 
 
 class TestBuilderOverflowGuard:

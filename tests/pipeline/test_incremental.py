@@ -5,6 +5,7 @@ import pytest
 
 from repro import GLPEngine, SeededFraudLP
 from repro.errors import PipelineError
+from repro.graph.builder import from_edge_arrays
 from repro.pipeline.detector import ClusterDetector
 from repro.pipeline.incremental import (
     IncrementalWindowBuilder,
@@ -34,6 +35,39 @@ def stream():
     )
 
 
+def _reference_window(stream, start, num_days):
+    """A window's graph built independently of ``window_from_pairs``:
+    compact ids with ``np.unique``, then sort, dedup-sum and mirror the
+    unit-weight transaction edges through the general graph builder."""
+    transactions = stream.window_transactions(start, num_days)
+    users, user_index = np.unique(transactions["user"], return_inverse=True)
+    products, product_index = np.unique(
+        transactions["product"], return_inverse=True
+    )
+    graph = from_edge_arrays(
+        user_index,
+        product_index + users.size,
+        users.size + products.size,
+        weights=np.ones(transactions.size),
+        symmetrize=True,
+    )
+    return graph, users, products
+
+
+def _assert_matches_reference(window, stream, start, num_days):
+    graph, users, products = _reference_window(stream, start, num_days)
+    for got, want in (
+        (window.graph.offsets, graph.offsets),
+        (window.graph.indices, graph.indices),
+        (window.graph.weights, graph.weights),
+        (window.users, users),
+        (window.products, products),
+    ):
+        assert got.dtype == want.dtype
+        assert got.tobytes() == want.tobytes()
+    assert window.graph.reversed() is window.graph
+
+
 class TestIncrementalBuilder:
     def test_matches_batch_construction(self, stream):
         builder = IncrementalWindowBuilder(stream)
@@ -56,24 +90,69 @@ class TestIncrementalBuilder:
         )
 
     def test_slide_matches_rebuilt_window(self, stream):
-        """Every slid window is bitwise the window rebuilt from the stream."""
+        """Every slid window, and the batch window rebuilt from the
+        stream, is bitwise the independently built reference."""
         builder = IncrementalWindowBuilder(stream)
         for day in range(5):
             builder.add_day(day)
+        _assert_matches_reference(builder.build(), stream, 0, 5)
         for start in range(1, stream.config.num_days - 4):
             builder.slide()
-            slid = builder.build()
-            rebuilt = build_window_graph(stream, start, 5)
-            for got, want in (
-                (slid.graph.offsets, rebuilt.graph.offsets),
-                (slid.graph.indices, rebuilt.graph.indices),
-                (slid.graph.weights, rebuilt.graph.weights),
-                (slid.users, rebuilt.users),
-                (slid.products, rebuilt.products),
-            ):
-                assert got.dtype == want.dtype
-                assert got.tobytes() == want.tobytes()
+            _assert_matches_reference(builder.build(), stream, start, 5)
+            _assert_matches_reference(
+                build_window_graph(stream, start, 5), stream, start, 5
+            )
         assert start >= 10
+
+    @pytest.mark.parametrize(
+        "config, window_days, check",
+        [
+            pytest.param(
+                TransactionStreamConfig(
+                    num_users=50, num_products=20, num_days=4,
+                    transactions_per_day=0, num_rings=0, seed=1,
+                ),
+                2,
+                lambda window: window.graph.num_vertices == 0,
+                id="zero-transactions",
+            ),
+            pytest.param(
+                TransactionStreamConfig(
+                    num_users=50, num_products=20, num_days=4,
+                    transactions_per_day=1, num_rings=0, seed=1,
+                ),
+                1,
+                lambda window: window.graph.num_edges == 2,
+                id="single-pair",
+            ),
+            # More than 2**16 window products: the product sort key is
+            # uint32, past numpy's 16-bit radix sort.
+            pytest.param(
+                TransactionStreamConfig(
+                    num_users=60_000, num_products=200_000, num_days=3,
+                    transactions_per_day=40_000, zipf_exponent=0.0,
+                    num_rings=0, seed=1,
+                ),
+                2,
+                lambda window: window.products.size > np.iinfo(np.uint16).max,
+                id="wide-product-key",
+            ),
+        ],
+    )
+    def test_edge_windows_match_reference(self, config, window_days, check):
+        stream = TransactionStream(config)
+        builder = IncrementalWindowBuilder(stream)
+        for day in range(window_days):
+            builder.add_day(day)
+        for start in range(config.num_days - window_days + 1):
+            if start:
+                builder.slide()
+            for window in (
+                builder.build(),
+                build_window_graph(stream, start, window_days),
+            ):
+                assert check(window)
+                _assert_matches_reference(window, stream, start, window_days)
 
     def test_retire_then_add_roundtrip(self, stream):
         builder = IncrementalWindowBuilder(stream)
