@@ -14,7 +14,8 @@ implements that workload:
 
 from __future__ import annotations
 
-from typing import Dict, Optional
+from dataclasses import dataclass
+from typing import Dict, Mapping, Optional, Union
 
 import numpy as np
 
@@ -24,36 +25,77 @@ from repro.graph.csr import CSRGraph
 from repro.types import LABEL_DTYPE, NO_LABEL, WEIGHT_DTYPE
 
 
+@dataclass(frozen=True, eq=False)
+class Seeds:
+    """A seed set as two parallel arrays: the array form of
+    ``{vertex: label}``.
+
+    ``vertices`` are int64 and strictly ascending; ``labels`` are
+    non-negative ``LABEL_DTYPE``.  Unsorted input is sorted on
+    construction.  The arrays are shared, not copied, and must not be
+    written.  ``len()`` counts the seeds, so an empty set is falsy.
+    """
+
+    vertices: np.ndarray
+    labels: np.ndarray
+
+    def __post_init__(self) -> None:
+        vertices = np.asarray(self.vertices, dtype=np.int64)
+        labels = np.asarray(self.labels, dtype=LABEL_DTYPE)
+        if vertices.ndim != 1 or labels.shape != vertices.shape:
+            raise ProgramError(
+                "seed vertices and labels must be parallel 1-D arrays"
+            )
+        if labels.size and labels.min() < 0:
+            raise ProgramError("seed labels must be non-negative")
+        if not np.all(vertices[1:] > vertices[:-1]):
+            order = np.argsort(vertices, kind="stable")
+            vertices, labels = vertices[order], labels[order]
+            if np.any(vertices[1:] == vertices[:-1]):
+                raise ProgramError("duplicate seed vertex ids")
+        object.__setattr__(self, "vertices", vertices)
+        object.__setattr__(self, "labels", labels)
+
+    def __len__(self) -> int:
+        return int(self.vertices.size)
+
+    @classmethod
+    def of(cls, seeds: Union["Seeds", Mapping[int, int]]) -> "Seeds":
+        """``seeds`` itself, or a ``{vertex: label}`` mapping as arrays."""
+        if isinstance(seeds, Seeds):
+            return seeds
+        return cls(
+            np.fromiter(seeds.keys(), dtype=np.int64, count=len(seeds)),
+            np.fromiter(seeds.values(), dtype=LABEL_DTYPE, count=len(seeds)),
+        )
+
+
 class SeededFraudLP(LPProgram):
     """Propagate fraud labels from seed vertices.
 
     Parameters
     ----------
     seeds:
-        Mapping of ``vertex -> cluster label``.  Labels must be >= 0.
+        A :class:`Seeds` set, or a ``{vertex: label}`` mapping that is
+        converted to one.  Labels must be >= 0; the set is kept as given
+        (a :class:`Seeds` is shared, not copied).
     max_hops:
         Optional bound on propagation depth (``None`` = unbounded).
     """
 
     def __init__(
-        self, seeds: Dict[int, int], *, max_hops: Optional[int] = None
+        self,
+        seeds: Union[Seeds, Mapping[int, int]],
+        *,
+        max_hops: Optional[int] = None,
     ) -> None:
-        if not seeds:
+        self.seeds = Seeds.of(seeds)
+        if not self.seeds:
             raise ProgramError("at least one seed is required")
-        #: Seed vertex ids and their labels, in ``seeds`` order.
-        self.seed_vertices = np.fromiter(
-            seeds.keys(), dtype=np.int64, count=len(seeds)
-        )
-        self.seed_labels = np.fromiter(
-            seeds.values(), dtype=LABEL_DTYPE, count=len(seeds)
-        )
-        if self.seed_labels.min() < 0:
-            raise ProgramError("seed labels must be non-negative")
         if max_hops is not None and max_hops <= 0:
             raise ProgramError("max_hops must be positive when given")
-        self.seeds = dict(seeds)
         self.max_hops = max_hops
-        self.name = f"seeded-lp({len(seeds)} seeds)"
+        self.name = f"seeded-lp({len(self.seeds)} seeds)"
         # A vertex's update depends only on its neighbors' labels (seed
         # pinning is per-vertex; max_hops only bounds the iteration count),
         # so frontier engines may sparsify.
@@ -61,12 +103,10 @@ class SeededFraudLP(LPProgram):
 
     def init_labels(self, graph: CSRGraph) -> np.ndarray:
         labels = np.full(graph.num_vertices, NO_LABEL, dtype=LABEL_DTYPE)
-        if (
-            self.seed_vertices.min() < 0
-            or self.seed_vertices.max() >= graph.num_vertices
-        ):
+        vertices = self.seeds.vertices
+        if vertices[0] < 0 or vertices[-1] >= graph.num_vertices:
             raise ProgramError("seed vertex ids out of range")
-        labels[self.seed_vertices] = self.seed_labels
+        labels[vertices] = self.seeds.labels
         return labels
 
     def load_neighbor(self, vertex_ids, neighbor_ids, neighbor_labels, edge_weights):
@@ -85,7 +125,7 @@ class SeededFraudLP(LPProgram):
         result = current_labels.copy()
         adopt = np.isfinite(best_scores) & (best_scores > 0)
         result[vertex_ids[adopt]] = best_labels[adopt]
-        result[self.seed_vertices] = self.seed_labels
+        result[self.seeds.vertices] = self.seeds.labels
         return result
 
     def pinned_vertices(self, graph: CSRGraph) -> np.ndarray:
@@ -95,8 +135,7 @@ class SeededFraudLP(LPProgram):
         windows, where carried hub-product seeds would otherwise stream
         their whole neighbor lists every iteration for nothing.
         """
-        # Dict keys are unique, so sorting them is their unique set.
-        return np.sort(self.seed_vertices)
+        return self.seeds.vertices
 
     def converged(self, old_labels, new_labels, iteration):
         if self.max_hops is not None and iteration >= self.max_hops:

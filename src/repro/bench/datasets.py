@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from typing import Dict, List, Tuple
 
+from repro.algorithms.seeded import Seeds
 from repro.gpusim.config import TITAN_V, DeviceSpec
 from repro.graph.generators.datasets import (  # noqa: F401 (re-export)
     DATASETS,
@@ -19,6 +20,7 @@ from repro.graph.generators.datasets import (  # noqa: F401 (re-export)
     load_dataset,
     table2_rows,
 )
+from repro.pipeline.seeds import SeedStore
 from repro.pipeline.transactions import TransactionStream, TransactionStreamConfig
 from repro.pipeline.window import WindowGraph, build_window_graph
 
@@ -66,20 +68,11 @@ def taobao_window(days: int) -> WindowGraph:
     return _WINDOWS[days]
 
 
-def window_seeds(days: int) -> Dict[int, int]:
+def window_seeds(days: int) -> Seeds:
     """The black-list seeds translated to the window's vertex ids."""
-    import numpy as np
-
-    stream = taobao_stream()
-    window = taobao_window(days)
-    raw = stream.blacklist()
-    users = np.fromiter(raw.keys(), dtype=np.int64, count=len(raw))
-    labels = np.fromiter(raw.values(), dtype=np.int64, count=len(raw))
-    vertices = window.window_vertex_of_user(users)
-    present = vertices >= 0
-    return {
-        int(v): int(l) for v, l in zip(vertices[present], labels[present])
-    }
+    return SeedStore(taobao_stream().blacklist()).window_seeds(
+        taobao_window(days)
+    )
 
 
 def clear_caches() -> None:

@@ -31,6 +31,17 @@ from repro.gpusim.sharedmem import SharedMemoryModel
 from repro.gpusim.timing import KernelTiming, kernel_time, transfer_time
 
 
+def _immutable(array: np.ndarray) -> bool:
+    """Whether ``array`` and every array in its ``.base`` chain are
+    read-only — so nothing can write its memory.  A read-only view of a
+    writeable array (or of a non-numpy buffer) does not qualify."""
+    while isinstance(array, np.ndarray):
+        if array.flags.writeable:
+            return False
+        array = array.base
+    return array is None
+
+
 @dataclass
 class DeviceArray:
     """Handle to a device-resident array.
@@ -211,12 +222,20 @@ class Device:
     # Transfers
     # ------------------------------------------------------------------
     def h2d(self, host_array: np.ndarray) -> DeviceArray:
-        """Copy a host array onto the device (PCIe-timed)."""
+        """Copy a host array onto the device (PCIe-timed).
+
+        An immutable array is registered as it is instead of copied: no
+        reference can write it, so the simulated device copy could never
+        differ from it.  Accounting is the same either way.
+        """
         injector = hooks.faults()
         if injector is not None:
             injector.on_transfer(self.index, host_array.nbytes, "h2d")
         host_array = np.ascontiguousarray(host_array)
-        handle = self._register(host_array.copy(), kind="h2d")
+        handle = self._register(
+            host_array if _immutable(host_array) else host_array.copy(),
+            kind="h2d",
+        )
         seconds = transfer_time(host_array.nbytes, self.spec)
         self._record_memcpy("[memcpy HtoD]", host_array.nbytes, seconds)
         self.counters.h2d_bytes += host_array.nbytes

@@ -11,16 +11,17 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from typing import Dict, List, Optional
+from typing import Dict, List, Mapping, Optional, Union
 
 import numpy as np
 
 from repro import obs
-from repro.algorithms.seeded import SeededFraudLP
+from repro.algorithms.seeded import SeededFraudLP, Seeds
 from repro.core.hybrid import rung_kwargs
 from repro.core.results import LPResult
 from repro.errors import PipelineError
 from repro.pipeline.window import WindowGraph
+from repro.types import LABEL_DTYPE
 
 
 @dataclass(frozen=True)
@@ -99,7 +100,7 @@ class ClusterDetector:
     def detect(
         self,
         window: WindowGraph,
-        seeds: Dict[int, int],
+        seeds: Union[Seeds, Mapping[int, int]],
         *,
         engine=None,
         initial_frontier: Optional[np.ndarray] = None,
@@ -117,6 +118,7 @@ class ClusterDetector:
         :func:`repro.core.hybrid.rung_kwargs`), so CPU engines silently run
         the usual full detection.
         """
+        seeds = Seeds.of(seeds)
         if not seeds:
             raise PipelineError("seed store contributed no seeds to window")
         run_engine = engine if engine is not None else self.engine
@@ -137,19 +139,27 @@ class ClusterDetector:
                 window.graph, program, **rung_kwargs(run_engine, run_kwargs)
             )
         labels = lp_result.labels
+        groups = program.clusters(labels)
+        # A seed anchors cluster L when both its seed label and its final
+        # label are L.  One sort of the anchors' labels counts every
+        # cluster's anchors by binary search.
+        anchored = labels[seeds.vertices] == seeds.labels
+        anchors = np.sort(seeds.labels[anchored])
+        group_labels = np.fromiter(
+            groups, dtype=LABEL_DTYPE, count=len(groups)
+        )
+        group_seeds = np.searchsorted(
+            anchors, group_labels, side="right"
+        ) - np.searchsorted(anchors, group_labels, side="left")
 
         clusters: List[DetectedCluster] = []
-        for label, members in program.clusters(labels).items():
+        for (label, members), num_seeds in zip(
+            groups.items(), group_seeds.tolist()
+        ):
             if not self.min_cluster_size <= members.size <= self.max_cluster_size:
                 continue
             users = window.user_of_window_vertex(members)
             users = users[users >= 0]
-            num_seeds = int(
-                np.isin(
-                    program.seed_vertices[program.seed_labels == label],
-                    members,
-                ).sum()
-            )
             clusters.append(
                 DetectedCluster(
                     label=int(label),

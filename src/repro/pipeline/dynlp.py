@@ -46,10 +46,11 @@ dense/fallback engine).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Optional, Tuple
+from typing import Mapping, Optional, Tuple, Union
 
 import numpy as np
 
+from repro.algorithms.seeded import Seeds
 from repro.errors import PipelineError
 from repro.kernels import mfl
 from repro.pipeline.window import WindowGraph, unpack_pairs
@@ -326,7 +327,7 @@ def plan_slide(
     current: WindowGraph,
     *,
     residual_frontier: Optional[np.ndarray],
-    seeds: Dict[int, int],
+    seeds: Union[Seeds, Mapping[int, int]],
     cutover_ratio: float = 0.2,
     engine_supported: bool = True,
 ) -> IncrementalPlan:
@@ -337,13 +338,12 @@ def plan_slide(
         return full_plan("unsupported-engine")
     if residual_frontier is None:
         return full_plan("no-residual")
-    labeled = np.fromiter(seeds.keys(), dtype=np.int64, count=len(seeds))
     affected = affected_vertices(
         diff,
         previous,
         current,
         residual_frontier=residual_frontier,
-        labeled_vertices=labeled,
+        labeled_vertices=Seeds.of(seeds).vertices,
     )
     num_vertices = max(1, int(current.graph.num_vertices))
     ratio = affected.num_affected / num_vertices

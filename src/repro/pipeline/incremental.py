@@ -24,11 +24,12 @@ from __future__ import annotations
 
 import dataclasses
 import time
-from typing import Dict, Optional, Set, Tuple
+from typing import Mapping, Optional, Set, Tuple, Union
 
 import numpy as np
 
 from repro import obs
+from repro.algorithms.seeded import Seeds
 from repro.core.driver import BSPEngine
 from repro.core.hybrid import run_ladder
 from repro.errors import PipelineError
@@ -52,7 +53,7 @@ from repro.pipeline.window import (
     pack_pairs,
     window_from_pairs,
 )
-from repro.types import NO_LABEL
+from repro.types import LABEL_DTYPE, NO_LABEL
 
 
 class IncrementalWindowBuilder:
@@ -252,11 +253,11 @@ def warm_start_seeds(
     previous: WindowGraph,
     previous_labels: np.ndarray,
     current: WindowGraph,
-    base_seeds: Dict[int, int],
+    base_seeds: Union[Seeds, Mapping[int, int]],
     *,
     max_carryover: Optional[int] = None,
     carry_products: bool = False,
-) -> Dict[int, int]:
+) -> Seeds:
     """Carry a previous detection into the next window's seed set.
 
     Every user labeled in the previous window (and still present in the
@@ -268,8 +269,14 @@ def warm_start_seeds(
     product re-labels from scratch in iteration 1, dragging most of the
     graph back onto the frontier.
 
-    Returns the merged ``{current_window_vertex: label}`` mapping.
+    The merge writes into one label array over the current window's
+    vertices, in order: carried users, then carried products, then the
+    base seeds, so a later write wins.  Returns the merged :class:`Seeds`.
     """
+    num_vertices = current.num_users + current.products.size
+    merged = np.empty(num_vertices, dtype=LABEL_DTYPE)
+    seeded = np.zeros(num_vertices, dtype=bool)
+
     labeled = np.flatnonzero(previous_labels != NO_LABEL)
     users = previous.user_of_window_vertex(labeled)
     keep = users >= 0
@@ -281,9 +288,8 @@ def warm_start_seeds(
 
     current_vertices = current.window_vertex_of_user(users)
     present = current_vertices >= 0
-    merged = dict(
-        zip(current_vertices[present].tolist(), labels[present].tolist())
-    )
+    merged[current_vertices[present]] = labels[present]
+    seeded[current_vertices[present]] = True
     # Guard before indexing: ``&`` does not short-circuit, so folding the
     # emptiness test into the ``found`` mask still evaluates
     # ``current.products[positions]`` and raises on an empty window side.
@@ -293,15 +299,18 @@ def warm_start_seeds(
         positions = np.searchsorted(current.products, product_ids)
         positions = np.clip(positions, 0, current.products.size - 1)
         found = current.products[positions] == product_ids
-        product_labels = previous_labels[prev_products]
-        merged.update(
-            zip(
-                (positions[found] + current.num_users).tolist(),
-                product_labels[found].tolist(),
-            )
-        )
-    merged.update(base_seeds)
-    return merged
+        product_vertices = positions[found] + current.num_users
+        merged[product_vertices] = previous_labels[prev_products[found]]
+        seeded[product_vertices] = True
+    base = Seeds.of(base_seeds)
+    if len(base) and (
+        base.vertices[0] < 0 or base.vertices[-1] >= num_vertices
+    ):
+        raise PipelineError("base seed vertex ids out of range")
+    merged[base.vertices] = base.labels
+    seeded[base.vertices] = True
+    vertices = np.flatnonzero(seeded)
+    return Seeds(vertices, merged[vertices])
 
 
 class SlidingWindowDetector:

@@ -12,6 +12,7 @@ from typing import Dict, Iterable, Optional
 
 import numpy as np
 
+from repro.algorithms.seeded import Seeds
 from repro.errors import PipelineError
 from repro.pipeline.window import WindowGraph
 
@@ -51,18 +52,14 @@ class SeedStore:
         """A copy of the full user → label mapping."""
         return dict(self._seeds)
 
-    def window_seeds(self, window: WindowGraph) -> Dict[int, int]:
-        """Translate the store to ``{window_vertex: label}`` for a window.
+    def window_seeds(self, window: WindowGraph) -> Seeds:
+        """Translate the store to the window's vertex ids.
 
         Users absent from the window are silently skipped — their rings may
         simply have been inactive in this period.
         """
-        if not self._seeds:
-            return {}
         users = np.fromiter(self._seeds.keys(), dtype=np.int64, count=len(self._seeds))
         labels = np.fromiter(self._seeds.values(), dtype=np.int64, count=len(self._seeds))
         vertices = window.window_vertex_of_user(users)
         present = vertices >= 0
-        return {
-            int(v): int(l) for v, l in zip(vertices[present], labels[present])
-        }
+        return Seeds(vertices[present], labels[present])

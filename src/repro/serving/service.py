@@ -359,14 +359,17 @@ class ScoringService:
 
     async def stop(self) -> None:
         """Cancel the background workers (idempotent)."""
-        for task in self._workers:
+        workers, self._workers = self._workers, []
+        for task in workers:
             task.cancel()
-        for task in self._workers:
-            try:
-                await task
-            except asyncio.CancelledError:
-                pass
-        self._workers = []
+        # ``asyncio.wait`` rather than ``await task``: re-raising a
+        # worker's CancelledError here adds this frame, whose ``task``
+        # local is the task, to the traceback the task keeps.  The task
+        # holds that exception through a reference the cyclic GC does not
+        # traverse, so the cycle, and the ``self`` its frames hold, was
+        # never collected.
+        if workers:
+            await asyncio.wait(workers)
 
     # ------------------------------------------------------------------
     # Scoring path

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro import GLPEngine, SeededFraudLP
+from repro.algorithms.seeded import Seeds
 from repro.errors import ProgramError
 from repro.graph.builder import GraphBuilder
 from repro.graph.generators.community import fraud_ring_graph
@@ -41,6 +42,46 @@ class TestSeeding:
     def test_invalid_max_hops(self):
         with pytest.raises(ProgramError):
             SeededFraudLP({0: 1}, max_hops=0)
+
+
+class TestSeedsType:
+    def test_mapping_becomes_sorted_arrays(self):
+        seeds = Seeds.of({7: 1, 2: 3, 5: 0})
+        assert seeds.vertices.tolist() == [2, 5, 7]
+        assert seeds.labels.tolist() == [3, 0, 1]
+        assert len(seeds) == 3
+        assert Seeds.of(seeds) is seeds
+
+    def test_empty_is_falsy(self):
+        assert not Seeds.of({})
+        assert len(Seeds(np.empty(0), np.empty(0))) == 0
+
+    def test_negative_label_rejected(self):
+        message = "^seed labels must be non-negative$"
+        with pytest.raises(ProgramError, match=message):
+            Seeds.of({0: 1, 3: -2})
+        with pytest.raises(ProgramError, match=message):
+            SeededFraudLP({0: -2})
+
+    def test_duplicate_vertices_rejected(self):
+        with pytest.raises(ProgramError, match="^duplicate seed vertex ids$"):
+            Seeds.of(Seeds(np.array([4, 1, 4]), np.array([0, 1, 2])))
+
+    def test_mismatched_arrays_rejected(self):
+        with pytest.raises(ProgramError, match="parallel"):
+            Seeds(np.array([1, 2]), np.array([0]))
+
+    def test_program_accepts_either_form(self, two_cliques_graph):
+        mapping = {9: 200, 0: 100}
+        arrays = Seeds(np.array([0, 9]), np.array([100, 200]))
+        by_mapping = GLPEngine().run(
+            two_cliques_graph, SeededFraudLP(mapping), max_iterations=10
+        )
+        by_arrays = GLPEngine().run(
+            two_cliques_graph, SeededFraudLP(arrays), max_iterations=10
+        )
+        assert by_mapping.labels_hash() == by_arrays.labels_hash()
+        assert SeededFraudLP(arrays).seeds is arrays
 
 
 class TestPropagation:

@@ -233,9 +233,7 @@ class TestPinnedVertices:
         # where the program materializes its seed arrays).
         program.init_labels(slide["current"].graph)
         pinned = program.pinned_vertices(slide["current"].graph)
-        assert np.array_equal(
-            pinned, np.unique(np.array(sorted(seeds), dtype=np.int64))
-        )
+        assert np.array_equal(pinned, np.unique(seeds.vertices))
 
     def test_prune_pinned_drops_only_pinned(self):
         frontier = np.array([1, 3, 5, 7], dtype=np.int64)

@@ -72,6 +72,46 @@ class TestTransfers:
         host[0] = 999
         assert handle.data[0] == 0
 
+    def test_h2d_shares_read_only_owning_array(self):
+        device = Device()
+        host = np.arange(1000)
+        host.setflags(write=False)
+        handle = device.h2d(host)
+        assert np.shares_memory(handle.data, host)
+        assert np.array_equal(device.d2h(handle), host)
+
+    def test_h2d_copies_read_only_view_of_writeable_base(self):
+        device = Device()
+        base = np.arange(1000)
+        view = base[:500]
+        view.setflags(write=False)
+        handle = device.h2d(view)
+        assert not np.shares_memory(handle.data, base)
+        # Writes through the base must not reach the device copy.
+        base[0] = 999
+        assert handle.data[0] == 0
+
+    def test_h2d_accounting_equal_for_shared_and_copied(self):
+        from repro.obs.memory import track
+
+        def upload(host):
+            device = Device()
+            with track() as tracker:
+                device.h2d(host)
+            # The tracker's device report holds its events and transfer
+            # totals.
+            return (
+                device.counters.h2d_bytes,
+                device.transfer_summary(),
+                device.transfer_seconds,
+                tracker.report()["devices"],
+            )
+
+        shared = np.arange(1000)
+        shared.setflags(write=False)
+        copied = np.arange(1000)
+        assert upload(shared) == upload(copied)
+
     def test_d2h_roundtrip(self):
         device = Device()
         handle = device.h2d(np.arange(10))

@@ -1,5 +1,7 @@
 """Tests for seeds, detector, downstream scoring and metrics."""
 
+import types
+
 import numpy as np
 import pytest
 
@@ -14,6 +16,7 @@ from repro.pipeline.transactions import (
     TransactionStreamConfig,
 )
 from repro.pipeline.window import build_window_graph
+from repro.types import NO_LABEL
 
 
 @pytest.fixture(scope="module")
@@ -65,12 +68,12 @@ class TestSeedStore:
         seeds = store.window_seeds(window)
         assert seeds  # some seeded users are active in the window
         membership = stream.ring_membership()
-        for vertex, label in seeds.items():
+        for vertex, label in zip(seeds.vertices, seeds.labels):
             user = window.user_of_window_vertex(np.array([vertex]))[0]
             assert membership[user] == label
 
     def test_empty_store_empty_seeds(self, window):
-        assert SeedStore().window_seeds(window) == {}
+        assert len(SeedStore().window_seeds(window)) == 0
 
 
 class TestDetector:
@@ -113,6 +116,42 @@ class TestDetector:
         detector = ClusterDetector(GLPEngine(), max_iterations=10, max_hops=5)
         detection = detector.detect(window, store.window_seeds(window))
         assert any(c.num_seeds > 0 for c in detection.clusters)
+
+    def test_num_seeds_equals_isin_count(self, stream, window):
+        """Each cluster's count is the per-cluster ``np.isin`` count it
+        replaced, also when the final labels move seeds off their label."""
+        seeds = SeedStore(stream.blacklist()).window_seeds(window)
+
+        class Unpinning:
+            """GLP, then every third seed relabeled and every fifth
+            unlabeled: a seed must count only for its own label."""
+
+            def run(self, graph, program, **kwargs):
+                result = GLPEngine().run(graph, program, **kwargs)
+                labels = result.labels.copy()
+                labels[seeds.vertices[::3]] = seeds.labels[::3] + 1
+                labels[seeds.vertices[::5]] = NO_LABEL
+                return types.SimpleNamespace(
+                    labels=labels,
+                    total_seconds=result.total_seconds,
+                    num_iterations=result.num_iterations,
+                )
+
+        detector = ClusterDetector(
+            Unpinning(), max_iterations=10, max_hops=5,
+            min_cluster_size=1, max_cluster_size=10**6,
+        )
+        detection = detector.detect(window, seeds)
+        assert detection.clusters
+        counted = 0
+        for cluster in detection.clusters:
+            want = np.isin(
+                seeds.vertices[seeds.labels == cluster.label],
+                cluster.vertices,
+            ).sum()
+            assert cluster.num_seeds == want
+            counted += cluster.num_seeds
+        assert 0 < counted < len(seeds)
 
 
 class TestScorerAndMetrics:

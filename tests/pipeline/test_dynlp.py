@@ -331,7 +331,7 @@ class TestAffectedSet:
     ):
         previous, diff, current = slide_fixture
         seeds = SeedStore(stream.blacklist()).window_seeds(current)
-        labeled = np.array(sorted(seeds), dtype=np.int64)
+        labeled = seeds.vertices
         affected = affected_vertices(
             diff,
             previous,

@@ -18,6 +18,7 @@ from repro.pipeline.transactions import (
 )
 from repro.pipeline.window import build_window_graph
 from repro.pipeline.seeds import SeedStore
+from repro.types import NO_LABEL
 
 
 @pytest.fixture(scope="module")
@@ -246,8 +247,9 @@ class TestWarmStart:
         merged = warm_start_seeds(
             previous, prev_result.labels, current, base
         )
-        for vertex, label in base.items():
-            assert merged[vertex] == label
+        positions = np.searchsorted(merged.vertices, base.vertices)
+        assert np.array_equal(merged.vertices[positions], base.vertices)
+        assert np.array_equal(merged.labels[positions], base.labels)
 
     def test_max_carryover_cap(self, stream):
         store = SeedStore(stream.blacklist())
@@ -259,6 +261,116 @@ class TestWarmStart:
             previous, prev_result.labels, current, base, max_carryover=5
         )
         assert len(capped) <= 5 + len(base)
+
+
+def _dict_window_seeds(store, window):
+    """``SeedStore.window_seeds`` as the ``{vertex: label}`` dict it used
+    to build: the reference for the array form."""
+    raw = store.labels()
+    vertices = window.window_vertex_of_user(
+        np.array(list(raw), dtype=np.int64)
+    )
+    labels = np.array(list(raw.values()), dtype=np.int64)
+    present = vertices >= 0
+    return {int(v): int(l) for v, l in zip(vertices[present], labels[present])}
+
+
+def _dict_warm_start(
+    previous, previous_labels, current, base_seeds, *,
+    max_carryover=None, carry_products=False,
+):
+    """The dict merge ``warm_start_seeds`` used to run: carried users,
+    then carried products, then the base seeds, each ``update`` winning
+    over the last."""
+    labeled = np.flatnonzero(previous_labels != NO_LABEL)
+    users = previous.user_of_window_vertex(labeled)
+    keep = users >= 0
+    users = users[keep]
+    labels = previous_labels[labeled[keep]]
+    if max_carryover is not None:
+        users = users[:max_carryover]
+        labels = labels[:max_carryover]
+    current_vertices = current.window_vertex_of_user(users)
+    present = current_vertices >= 0
+    merged = dict(
+        zip(current_vertices[present].tolist(), labels[present].tolist())
+    )
+    if carry_products and current.products.size > 0:
+        prev_products = labeled[labeled >= previous.num_users]
+        product_ids = previous.products[prev_products - previous.num_users]
+        positions = np.searchsorted(current.products, product_ids)
+        positions = np.clip(positions, 0, current.products.size - 1)
+        found = current.products[positions] == product_ids
+        product_labels = previous_labels[prev_products]
+        merged.update(
+            zip(
+                (positions[found] + current.num_users).tolist(),
+                product_labels[found].tolist(),
+            )
+        )
+    merged.update(base_seeds)
+    return merged
+
+
+def _items(seeds):
+    return list(zip(seeds.vertices.tolist(), seeds.labels.tolist()))
+
+
+class TestWarmStartMatchesDictMerge:
+    """The array warm start equals the dict merge it replaced, on every
+    slide of the e2e benchmark's 65-day stream."""
+
+    @pytest.mark.parametrize("seed", [0, 3])
+    def test_every_slide(self, seed):
+        stream = TransactionStream(
+            TransactionStreamConfig(num_days=65, seed=seed)
+        )
+        store = SeedStore(stream.blacklist())
+        rng = np.random.default_rng(seed)
+        builder = IncrementalWindowBuilder(stream)
+        for day in range(14):
+            builder.add_day(day)
+        previous = builder.build()
+        slides = conflicts = carried_products = 0
+        while max(builder.days) < stream.config.num_days - 1:
+            builder.slide()
+            current = builder.build()
+            base = store.window_seeds(current)
+            base_dict = _dict_window_seeds(store, current)
+            assert _items(base) == sorted(base_dict.items())
+            # Synthetic previous labels: a third unlabeled, the rest drawn
+            # from few enough clusters that carried labels often disagree
+            # with the black-list.
+            num_previous = previous.graph.num_vertices
+            previous_labels = np.where(
+                rng.random(num_previous) < 1 / 3,
+                NO_LABEL,
+                rng.integers(0, 40, num_previous),
+            )
+            for kwargs in (
+                {"carry_products": True},
+                {"max_carryover": previous.num_users // 2},
+            ):
+                got = warm_start_seeds(
+                    previous, previous_labels, current, base, **kwargs
+                )
+                want = _dict_warm_start(
+                    previous, previous_labels, current, base_dict, **kwargs
+                )
+                assert _items(got) == sorted(want.items())
+            carried = _dict_warm_start(
+                previous, previous_labels, current, {}, carry_products=True
+            )
+            conflicts += sum(
+                carried.get(v, l) != l for v, l in base_dict.items()
+            )
+            carried_products += max(carried) >= current.num_users
+            previous = current
+            slides += 1
+        assert slides == 51
+        # The cases the merge order decides did occur.
+        assert conflicts > 0
+        assert carried_products > 0
 
 
 class TestSlidingWindowDetector:
@@ -323,7 +435,17 @@ class TestWarmStartEmptyProductSide:
         )
         # User 10 is window vertex 0 in the current window; the labeled
         # product has nowhere to land and must be silently dropped.
-        assert merged == {0: 7, 1: 42}
+        assert merged.vertices.tolist() == [0, 1]
+        assert merged.labels.tolist() == [7, 42]
+
+    @pytest.mark.parametrize("vertex", [-1, 3])
+    def test_out_of_range_base_seed_rejected(self, vertex):
+        # A negative id would otherwise index the merge array from its end.
+        window = self._window([10, 20], [5])
+        with pytest.raises(PipelineError, match="out of range"):
+            warm_start_seeds(
+                window, np.array([7, 8, 9]), window, {vertex: 1}
+            )
 
     def test_nonempty_products_still_carry(self, stream):
         store = SeedStore(stream.blacklist())
@@ -341,8 +463,6 @@ class TestWarmStartEmptyProductSide:
             previous, prev_result.labels, current, base,
             carry_products=True,
         )
-        product_seeds = {
-            v for v in with_products if v >= current.num_users
-        }
-        assert product_seeds  # the guard must not disable the feature
+        # The guard must not disable the feature.
+        assert np.any(with_products.vertices >= current.num_users)
         assert len(with_products) > len(user_only)

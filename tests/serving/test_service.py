@@ -7,7 +7,9 @@ identity — including the soak run with an injected device fault.
 """
 
 import asyncio
+import gc
 import time
+import weakref
 
 import numpy as np
 import pytest
@@ -158,6 +160,27 @@ class TestScoring:
         response = run(main())
         assert response.outcome == "scored"
         assert response.label == int(NO_LABEL)
+
+
+class TestLifecycle:
+    def test_stopped_service_is_collectable(self, stream):
+        """Stopping cancels the workers without leaving the service
+        reachable from their cancellation tracebacks."""
+
+        async def main():
+            service = make_service(stream)
+            await service.start()
+            await service.score(3)
+            await service.stop()
+            await service.stop()  # idempotent
+            ref = weakref.ref(service)
+            del service
+            gc.collect()
+            # Checked while the loop is still running, as a long-lived
+            # server would see it.
+            return ref() is None
+
+        assert run(main())
 
 
 class TestServe:
