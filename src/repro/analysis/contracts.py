@@ -1,9 +1,8 @@
-"""Static contract checks for the engine/hook/CLI interface surface.
+"""Static contract checks for the LP-hook and registry interface surface.
 
 The platform's cross-module interfaces are deliberately duck-typed — the
-``gpusim.hooks`` registry imports nothing and the CLI maps flag names to
-engines by string.  This module turns those conventions into
-machine-checked contracts (device engines need none: the
+``gpusim.hooks`` registry imports nothing.  This module turns those
+conventions into machine-checked contracts (engines need none: the
 :class:`~repro.core.driver.BSPEngine` base rejects a subclass missing a
 driver hook at construction, and :func:`~repro.core.driver.drive` is the
 one ``run`` signature):
@@ -15,14 +14,10 @@ one ``run`` signature):
     A ``gpusim.hooks`` subscriber (memory tracker, fault injector,
     sanitizer) whose callback shape no longer matches what the simulator
     actually calls.
-``contract-cli-capability-mismatch``
-    A CLI device engine (the resilience and ``--frontier`` flags' targets)
-    that is not a :class:`~repro.core.driver.BSPEngine`, so the flags
-    would hit the ``exit 2`` paths in ``repro run``.
 
 Two modes: with no ``paths`` the *shipped* interfaces are imported and
-checked via :mod:`inspect`; with explicit ``paths`` the checks run purely on the AST, which is what the
-seeded test fixtures exercise.
+checked via :mod:`inspect`; with explicit ``paths`` the checks run purely
+on the AST, which is what the seeded test fixtures exercise.
 """
 
 from __future__ import annotations
@@ -208,45 +203,6 @@ def _check_registry_subscribers(report: AnalysisReport) -> None:
                     )
 
 
-def _check_cli_capabilities(report: AnalysisReport) -> None:
-    from repro import cli
-    from repro.baselines import GHashEngine, GSortEngine
-    from repro.core.driver import BSPEngine
-    from repro.core.framework import GLPEngine
-
-    device_classes = {
-        "glp": GLPEngine,
-        "gsort": GSortEngine,
-        "ghash": GHashEngine,
-    }
-    for name in cli._DEVICE_ENGINES:
-        report.checked += 1
-        cls = device_classes.get(name)
-        if cls is None:
-            report.add(
-                Finding(
-                    rule="contract-cli-capability-mismatch",
-                    message=(
-                        f"CLI device engine {name!r} has no known engine "
-                        "class; the resilience flags would exit 2 at runtime"
-                    ),
-                    location=_location_of(cli),
-                )
-            )
-        elif not issubclass(cls, BSPEngine):
-            report.add(
-                Finding(
-                    rule="contract-cli-capability-mismatch",
-                    message=(
-                        f"CLI accepts resilience flags for engine {name!r} "
-                        f"but {cls.__name__} is not a BSPEngine"
-                    ),
-                    kernel=cls.__name__,
-                    location=_location_of(cls),
-                )
-            )
-
-
 # ---------------------------------------------------------------------------
 # AST (fixture/path) mode
 # ---------------------------------------------------------------------------
@@ -305,8 +261,7 @@ def check_contracts(paths: Optional[List[str]] = None) -> AnalysisReport:
     """Run the contract checker; returns a ``source="contracts"`` report.
 
     With ``paths`` the AST checks run on those files; without, the shipped
-    LP programs, registry subscribers and CLI engine wiring are imported
-    and verified.
+    LP programs and registry subscribers are imported and verified.
     """
     report = AnalysisReport(source="contracts")
     if paths:
@@ -315,5 +270,4 @@ def check_contracts(paths: Optional[List[str]] = None) -> AnalysisReport:
         return report
     _check_program_hooks(report)
     _check_registry_subscribers(report)
-    _check_cli_capabilities(report)
     return report

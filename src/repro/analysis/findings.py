@@ -64,7 +64,6 @@ RULES: Dict[str, str] = {
     # --- contract checker (repro.analysis.contracts) ---------------------
     "contract-hook-signature-mismatch": "error",
     "contract-registry-callback-mismatch": "error",
-    "contract-cli-capability-mismatch": "error",
     # --- schema-drift lint (repro.analysis.consistency) ------------------
     "consistency-metric-drift": "error",
     "consistency-event-drift": "error",

@@ -15,26 +15,15 @@ trade-off against the bulk-synchronous model GPUs prefer.
 
 from __future__ import annotations
 
-from typing import List
-
-import numpy as np
-
 from repro.baselines.cpumodel import CPUEngineBase, CPUSpec, XEON_W2133
-from repro.core.api import LPProgram, validate_program
-from repro.core.results import IterationStats, LPResult
 from repro.errors import ConvergenceError
 from repro.graph.csr import CSRGraph
-from repro.gpusim.counters import PerfCounters
-from repro.kernels import mfl
 
 
 class SerialEngine(CPUEngineBase):
     """One core, synchronous updates, no synchronization overhead."""
 
     name = "Serial"
-
-    def __init__(self, spec: CPUSpec = XEON_W2133) -> None:
-        super().__init__(spec)
 
     def _iteration_seconds(
         self, graph: CSRGraph, *, active_edges: int, active_vertices: int
@@ -49,7 +38,8 @@ class BlockAsyncSerialEngine(SerialEngine):
     """Block-asynchronous (Gauss-Seidel) LP.
 
     Each iteration sweeps the vertex set in ``num_blocks`` contiguous
-    blocks; block ``i+1`` reads the labels block ``i`` just produced.
+    blocks; block ``i+1`` reads the labels block ``i`` just produced (the
+    shared CPU step of :class:`~repro.baselines.cpumodel.CPUEngineBase`).
     With ``num_blocks == 1`` this degenerates to the synchronous engine.
     """
 
@@ -62,82 +52,3 @@ class BlockAsyncSerialEngine(SerialEngine):
         if num_blocks <= 0:
             raise ConvergenceError("num_blocks must be positive")
         self.num_blocks = num_blocks
-
-    def run(
-        self,
-        graph: CSRGraph,
-        program: LPProgram,
-        *,
-        max_iterations: int = 20,
-        record_history: bool = False,
-        stop_on_convergence: bool = True,
-    ) -> LPResult:
-        if max_iterations <= 0:
-            raise ConvergenceError("max_iterations must be positive")
-        labels = program.init_labels(graph)
-        program.init_state(graph, labels)
-        validate_program(program, graph, labels)
-
-        bounds = np.linspace(
-            0, graph.num_vertices, self.num_blocks + 1
-        ).astype(np.int64)
-        iterations: List[IterationStats] = []
-        history = [] if record_history else None
-        converged = False
-
-        for iteration in range(1, max_iterations + 1):
-            before = labels.copy()
-            picked = program.pick_labels(graph, labels, iteration)
-            working = picked.astype(labels.dtype, copy=True)
-            current = labels
-            for b in range(self.num_blocks):
-                block = np.arange(bounds[b], bounds[b + 1], dtype=np.int64)
-                if block.size == 0:
-                    continue
-                batch = mfl.expand_edges(graph, block)
-                # Asynchrony: the MFL reads `working`, which already holds
-                # the labels earlier blocks produced this sweep.
-                groups = mfl.aggregate_label_frequencies(
-                    program, batch, working
-                )
-                best_labels, best_scores = mfl.select_best_labels(
-                    program, groups, block, working
-                )
-                current = program.update_vertices(
-                    block, best_labels, best_scores, current
-                )
-                working[block] = current[block]
-
-            program.on_iteration_end(graph, before, current, iteration)
-            changed = int(np.count_nonzero(current != before))
-            iteration_converged = program.converged(
-                before, current, iteration
-            )
-            labels = current
-            if history is not None:
-                history.append(labels.copy())
-            iterations.append(
-                IterationStats(
-                    iteration=iteration,
-                    seconds=self._iteration_seconds(
-                        graph,
-                        active_edges=graph.num_edges,
-                        active_vertices=graph.num_vertices,
-                    ),
-                    kernel_seconds=0.0,
-                    transfer_seconds=0.0,
-                    changed_vertices=changed,
-                    counters=PerfCounters(),
-                )
-            )
-            if iteration_converged and stop_on_convergence:
-                converged = True
-                break
-
-        return LPResult(
-            labels=program.final_labels(labels),
-            iterations=iterations,
-            converged=converged,
-            engine=self.name,
-            history=history,
-        )

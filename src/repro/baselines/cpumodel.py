@@ -17,18 +17,20 @@ the socket — in line with published shared-memory LP throughputs
 
 from __future__ import annotations
 
+import contextlib
 from dataclasses import dataclass
-from typing import List, Optional
+from typing import Optional
 
 import numpy as np
 
-from repro.core.api import LPProgram, validate_program
-from repro.core.results import IterationStats, LPResult
-from repro.errors import ConvergenceError
+from repro.core.api import LPProgram
+from repro.core.driver import BSPEngine, BSPRun, drive
+from repro.core.results import IterationStats
 from repro.graph.csr import CSRGraph
 from repro.gpusim.counters import PerfCounters
-from repro.scaling import TIME_SCALE
 from repro.kernels import mfl
+from repro.kernels.frontier import FrontierConfig
+from repro.scaling import TIME_SCALE
 
 
 @dataclass(frozen=True)
@@ -68,101 +70,117 @@ XEON_PLATINUM_8168_X4 = CPUSpec(
 )
 
 
-class CPUEngineBase:
-    """Common iterate loop for the CPU baselines.
+class CPUEngineBase(BSPEngine):
+    """The shared CPU step for the BSP driver.
 
-    Subclasses override :meth:`_iteration_seconds` (the timing model) and
-    may override :meth:`_active_vertices` (frontier sparsification).
+    A CPU engine drives no device and never tracks a frontier: its carry
+    is last round's changed set, which :meth:`_active_vertices` may use to
+    sparsify (Ligra).  Each step runs PickLabel, then expand / aggregate /
+    select / UpdateVertex over the active set in ``num_blocks`` contiguous
+    blocks; with more than one block, later blocks read the labels
+    earlier blocks just wrote (block-asynchronous sweeps).  Subclasses
+    override :meth:`_iteration_seconds` (the timing model) and may
+    override :meth:`_active_vertices`.
     """
 
     name = "cpu"
+    #: Dense: ``drive`` ignores ``initial_frontier`` as for any dense engine.
+    frontier = FrontierConfig()
+    num_blocks = 1
 
     def __init__(self, spec: CPUSpec = XEON_W2133) -> None:
         self.spec = spec
 
-    # ------------------------------------------------------------------
-    def run(
-        self,
-        graph: CSRGraph,
-        program: LPProgram,
-        *,
-        max_iterations: int = 20,
-        record_history: bool = False,
-        stop_on_convergence: bool = True,
-    ) -> LPResult:
-        if max_iterations <= 0:
-            raise ConvergenceError("max_iterations must be positive")
-        labels = program.init_labels(graph)
-        program.init_state(graph, labels)
-        validate_program(program, graph, labels)
+    #: The shared BSP loop (:func:`repro.core.driver.drive`).
+    run = drive
 
-        iterations: List[IterationStats] = []
-        history = [] if record_history else None
-        converged = False
-        changed_mask: Optional[np.ndarray] = None  # None = all changed
+    @property
+    def devices(self) -> list:
+        """Empty: the CPU has no simulated device to reset or fault."""
+        return []
 
-        for iteration in range(1, max_iterations + 1):
+    def _initial_carry(self, initial: Optional[np.ndarray]) -> dict:
+        """Carry: last round's changed vertex ids (``None`` before round 1)."""
+        return {"changed": None}
+
+    @contextlib.contextmanager
+    def _attempt(self, run: BSPRun):
+        """No residency to hold; yields the CPU step."""
+        graph, program = run.graph, run.program
+
+        def step(iteration: int):
+            labels = run.labels
             picked = program.pick_labels(graph, labels, iteration)
-            active = self._active_vertices(graph, program, changed_mask)
-
-            batch = mfl.expand_edges(
-                graph, None if active is None else active
+            active = self._active_vertices(
+                graph, program, run.carry["changed"]
             )
-            groups = mfl.aggregate_label_frequencies(program, batch, picked)
-            vertices = (
-                np.arange(graph.num_vertices, dtype=np.int64)
-                if active is None
-                else active
-            )
-            best_labels, best_scores = mfl.select_best_labels(
-                program, groups, vertices, picked
-            )
-            new_labels = program.update_vertices(
-                vertices, best_labels, best_scores, labels
-            )
-
-            program.on_iteration_end(graph, labels, new_labels, iteration)
-            changed_mask = new_labels != labels
-            changed = int(np.count_nonzero(changed_mask))
-            seconds = self._iteration_seconds(
-                graph,
-                active_edges=batch.num_edges,
-                active_vertices=int(vertices.size),
-            )
-            iteration_converged = program.converged(
-                labels, new_labels, iteration
-            )
-            labels = new_labels
-            if history is not None:
-                history.append(labels.copy())
-            iterations.append(
-                IterationStats(
-                    iteration=iteration,
-                    seconds=seconds,
-                    kernel_seconds=seconds,
-                    transfer_seconds=0.0,
-                    changed_vertices=changed,
-                    counters=PerfCounters(),
+            if self.num_blocks == 1:
+                blocks = [active]  # ``None`` expands the whole graph
+            else:
+                vertices = (
+                    np.arange(graph.num_vertices, dtype=np.int64)
+                    if active is None
+                    else active
                 )
+                bounds = np.linspace(
+                    0, vertices.size, self.num_blocks + 1
+                ).astype(np.int64)
+                blocks = [
+                    vertices[lo:hi]
+                    for lo, hi in zip(bounds[:-1], bounds[1:])
+                    if hi > lo
+                ]
+            # Asynchrony: with several blocks, later blocks read the labels
+            # earlier blocks wrote, through a private copy of the picks.
+            working = (
+                picked
+                if len(blocks) == 1
+                else picked.astype(labels.dtype, copy=True)
             )
-            if iteration_converged and stop_on_convergence:
-                converged = True
-                break
+            new_labels = labels
+            edges = processed = 0
+            for block in blocks:
+                batch = mfl.expand_edges(graph, block)
+                groups = mfl.aggregate_label_frequencies(
+                    program, batch, working
+                )
+                best_labels, best_scores = mfl.select_best_labels(
+                    program, groups, batch.vertices, working
+                )
+                new_labels = program.update_vertices(
+                    batch.vertices, best_labels, best_scores, new_labels
+                )
+                edges += batch.num_edges
+                processed += batch.vertices.size
+                if working is not picked:
+                    working[batch.vertices] = new_labels[batch.vertices]
+            changed = np.flatnonzero(new_labels != labels)
+            run.carry["changed"] = changed
+            seconds = self._iteration_seconds(
+                graph, active_edges=edges, active_vertices=processed
+            )
+            stats = IterationStats(
+                iteration=iteration,
+                seconds=seconds,
+                kernel_seconds=seconds,
+                transfer_seconds=0.0,
+                changed_vertices=int(changed.size),
+                counters=PerfCounters(),
+            )
+            return new_labels, stats, {}
 
-        return LPResult(
-            labels=program.final_labels(labels),
-            iterations=iterations,
-            converged=converged,
-            engine=self.name,
-            history=history,
-        )
+        yield step
+
+    def _finish(self, run: BSPRun) -> None:
+        """No residual frontier: CPU runs are dense."""
+        return None
 
     # ------------------------------------------------------------------
     def _active_vertices(
         self,
         graph: CSRGraph,
         program: LPProgram,
-        changed_mask: Optional[np.ndarray],
+        changed: Optional[np.ndarray],
     ) -> Optional[np.ndarray]:
         """Vertex subset to process this iteration (``None`` = all)."""
         return None

@@ -73,18 +73,21 @@ class InHouseDistributedEngine(CPUEngineBase):
     def __init__(self, spec: ClusterSpec = TAOBAO_CLUSTER) -> None:
         super().__init__(spec.machine)
         self.cluster = spec
-        self._partition_cache: dict = {}
+        #: ``(graph, edges, boundary)`` of the last graph profiled.
+        self._profile = None
 
     # ------------------------------------------------------------------
     def _partition_profile(self, graph: CSRGraph):
-        """Per-partition edge counts and boundary (cross-machine) edges."""
-        key = id(graph)
-        if key not in self._partition_cache:
+        """Per-partition edge counts and boundary (cross-machine) edges.
+
+        Memoized for the last graph only, matched by identity: the memo
+        holds that graph, so its ``id`` cannot be reused by another.
+        """
+        if self._profile is None or self._profile[0] is not graph:
             parts = balanced_edge_partition(graph, self.cluster.num_machines)
             edges = np.array([p.num_edges for p in parts], dtype=np.int64)
-            boundary = boundary_edge_counts(graph, parts)
-            self._partition_cache[key] = (edges, boundary)
-        return self._partition_cache[key]
+            self._profile = (graph, edges, boundary_edge_counts(graph, parts))
+        return self._profile[1:]
 
     def _iteration_seconds(
         self, graph: CSRGraph, *, active_edges: int, active_vertices: int

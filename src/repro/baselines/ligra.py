@@ -20,9 +20,10 @@ from typing import Optional
 
 import numpy as np
 
-from repro.baselines.cpumodel import CPUEngineBase, CPUSpec, XEON_W2133
+from repro.baselines.cpumodel import CPUEngineBase
 from repro.core.api import LPProgram
 from repro.graph.csr import CSRGraph
+from repro.kernels.frontier import changed_out_neighbors
 from repro.scaling import TIME_SCALE
 
 
@@ -31,34 +32,19 @@ class LigraEngine(CPUEngineBase):
 
     name = "Ligra"
 
-    def __init__(self, spec: CPUSpec = XEON_W2133) -> None:
-        super().__init__(spec)
-        self._out_graph: Optional[CSRGraph] = None
-        self._out_graph_source: Optional[int] = None
-
     def _active_vertices(
         self,
         graph: CSRGraph,
         program: LPProgram,
-        changed_mask: Optional[np.ndarray],
+        changed: Optional[np.ndarray],
     ) -> Optional[np.ndarray]:
-        if not program.frontier_safe or changed_mask is None:
+        if not program.frontier_safe or changed is None:
             return None
-        changed = np.flatnonzero(changed_mask)
         # Dense mode is cheaper once most vertices are active (Ligra's
         # sparse->dense threshold is |frontier edges| > E/20).
         if changed.size > graph.num_vertices // 20:
             return None
-        # Out-neighbors of changed vertices = vertices whose *in*-neighbor
-        # set contains a changed vertex; compute on the reversed graph.
-        if self._out_graph is None or self._out_graph_source != id(graph):
-            self._out_graph = graph.reversed()
-            self._out_graph_source = id(graph)
-        out = self._out_graph
-        chunks = [out.neighbors(int(v)) for v in changed]
-        if not chunks:
-            return np.empty(0, dtype=np.int64)
-        return np.unique(np.concatenate(chunks)).astype(np.int64)
+        return changed_out_neighbors(graph, changed)
 
     def _iteration_seconds(
         self, graph: CSRGraph, *, active_edges: int, active_vertices: int

@@ -11,7 +11,7 @@ reported as a speedup over this engine.
 
 from __future__ import annotations
 
-from repro.baselines.cpumodel import CPUEngineBase, CPUSpec, XEON_W2133
+from repro.baselines.cpumodel import CPUEngineBase
 from repro.graph.csr import CSRGraph
 
 
@@ -19,9 +19,6 @@ class OMPEngine(CPUEngineBase):
     """Dynamic-scheduled parallel-for over vertices."""
 
     name = "OMP"
-
-    def __init__(self, spec: CPUSpec = XEON_W2133) -> None:
-        super().__init__(spec)
 
     def _iteration_seconds(
         self, graph: CSRGraph, *, active_edges: int, active_vertices: int

@@ -11,8 +11,9 @@ paper — this engine refuses other variants.
 from __future__ import annotations
 
 from repro.algorithms.classic import ClassicLP
-from repro.baselines.cpumodel import CPUEngineBase, CPUSpec, XEON_W2133
+from repro.baselines.cpumodel import CPUEngineBase
 from repro.core.api import LPProgram
+from repro.core.driver import drive
 from repro.core.results import LPResult
 from repro.errors import ProgramError
 from repro.graph.csr import CSRGraph
@@ -27,16 +28,13 @@ class TigerGraphEngine(CPUEngineBase):
 
     name = "TG"
 
-    def __init__(self, spec: CPUSpec = XEON_W2133) -> None:
-        super().__init__(spec)
-
     def run(self, graph: CSRGraph, program: LPProgram, **kwargs) -> LPResult:
         if not isinstance(program, ClassicLP):
             raise ProgramError(
                 "TigerGraph's stock implementation only supports classic LP "
                 f"(got {program.name!r}); the paper omits TG for LLP/SLP too"
             )
-        return super().run(graph, program, **kwargs)
+        return drive(self, graph, program, **kwargs)
 
     def _iteration_seconds(
         self, graph: CSRGraph, *, active_edges: int, active_vertices: int

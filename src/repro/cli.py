@@ -264,8 +264,8 @@ def _window_days(args, slides: int) -> Optional[int]:
     return window_days
 
 
-#: Engines that run on the simulated device (and accept the resilience
-#: options); the rest are CPU baselines with no faults to inject.
+#: Engines that run on the simulated device; the rest are CPU baselines
+#: with no device events to fault (``--inject``) or profile.
 _DEVICE_ENGINES = ("glp", "gsort", "ghash")
 
 
@@ -295,12 +295,10 @@ def _cmd_run(args) -> int:
             file=sys.stderr,
         )
         return 2
-    resilience = _resilience_kwargs(args)
-    if (resilience or args.inject) and args.engine not in _DEVICE_ENGINES:
+    if args.inject and args.engine not in _DEVICE_ENGINES:
         print(
-            "repro run: --inject/--retries/--checkpoint-dir/--resume "
-            f"require a device engine {_DEVICE_ENGINES} "
-            f"(got {args.engine!r})",
+            f"repro run: --inject requires a device engine "
+            f"{_DEVICE_ENGINES} (got {args.engine!r})",
             file=sys.stderr,
         )
         return 2
@@ -319,7 +317,7 @@ def _cmd_run(args) -> int:
                 program,
                 max_iterations=args.iterations,
                 stop_on_convergence=not args.no_early_stop,
-                **resilience,
+                **_resilience_kwargs(args),
             )
             if args.json:
                 print(result.to_json(indent=2))
@@ -898,12 +896,12 @@ def build_parser() -> argparse.ArgumentParser:
         "--inject", metavar="PLAN",
         help="deterministic fault plan 'kind@N[xR][/devD]', comma "
         "separated (kinds: oom, transfer, kernel, ecc; N is the 1-based "
-        "device event index)",
+        "device event index; device engines only)",
     )
     run.add_argument(
         "--retries", type=int, metavar="N",
         help="enable checkpoint-based recovery with N retries and N "
-        "resumes (device engines only)",
+        "resumes",
     )
     run.add_argument(
         "--checkpoint-dir", metavar="DIR",

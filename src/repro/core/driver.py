@@ -1,11 +1,12 @@
-"""The bulk-synchronous run driver shared by the device engines.
+"""The bulk-synchronous run driver shared by every engine.
 
-The GLP, hybrid and multi-GPU engines all run the same loop (Figure 2):
-PickLabel -> LabelPropagation -> UpdateVertex, once per BSP iteration,
-until the program converges or the iteration budget runs out.  They
-differ only in *where* the LabelPropagation work happens.  :func:`drive`
-is that loop, written once.  A device engine subclasses :class:`BSPEngine`,
-binds the loop with ``run = drive`` in its own class body, and supplies:
+The GLP, hybrid and multi-GPU engines and the CPU baselines all run the
+same loop (Figure 2): PickLabel -> LabelPropagation -> UpdateVertex, once
+per BSP iteration, until the program converges or the iteration budget
+runs out.  They differ only in *where* the LabelPropagation work happens
+and how it is timed.  :func:`drive` is that loop, written once.  An
+engine subclasses :class:`BSPEngine`, binds the loop with ``run = drive``
+in its own class body (or calls it from its own ``run``), and supplies:
 
 ``_initial_carry(initial)``
     The engine-state carry dict seeded from the coerced
@@ -13,11 +14,11 @@ binds the loop with ``run = drive`` in its own class body, and supplies:
     ``engine_state`` of every checkpoint and is replaced wholesale on a
     restore, so engines read it from ``run.carry`` on every use.
 ``_attempt(run)``
-    A context manager holding the device residency for one attempt.  It
-    yields ``step(iteration) -> (new_labels, stats, trace_args)``: one
-    BSP iteration, including every device event the iteration issues,
-    which advances ``run.carry``.  Teardown frees the residency, also
-    when a fault aborts the attempt.
+    A context manager holding the device residency for one attempt (none
+    for a CPU engine).  It yields ``step(iteration) -> (new_labels,
+    stats, trace_args)``: one BSP iteration, including every device event
+    the iteration issues, which advances ``run.carry``.  Teardown frees
+    the residency, also when a fault aborts the attempt.
 ``_finish(run)``
     Called once after a successful attempt; returns the residual
     frontier for :attr:`LPResult.final_frontier`.
@@ -47,18 +48,19 @@ from repro.kernels.frontier import coerce_initial_frontier
 
 
 class BSPEngine(abc.ABC):
-    """A device engine run by :func:`drive`.
+    """An engine run by :func:`drive` — every engine.
 
-    ``isinstance(engine, BSPEngine)`` is the one test for "accepts the
-    incremental (``initial_frontier``/``warm_labels``) and resilience
-    (``retry_policy``/``checkpoint_dir``/``resume_from``) run kwargs":
-    :func:`drive` is the single signature that supplies them.  A subclass
-    missing a hook fails at construction.
+    :func:`drive` is the single signature that supplies the incremental
+    (``initial_frontier``/``warm_labels``) and resilience
+    (``retry_policy``/``checkpoint_dir``/``resume_from``) run kwargs, so
+    every engine accepts them; ``initial_frontier`` applies only where
+    ``frontier`` is enabled.  A subclass missing a hook fails at
+    construction.
     """
 
     @property
     def devices(self) -> list:
-        """The simulated devices this engine drives."""
+        """The simulated devices this engine drives (empty on the CPU)."""
         return [self.device]
 
     @abc.abstractmethod

@@ -48,6 +48,7 @@ from repro.kernels import mfl
 from repro.kernels.base import ELEM_BYTES, GLP_DEFAULT, KernelContext, StrategyConfig
 from repro.kernels.frontier import (
     FrontierConfig,
+    changed_out_neighbors,
     prune_pinned,
     resolve_frontier,
     use_sparse_pass,
@@ -288,7 +289,7 @@ class HybridEngine(BSPEngine):
                 frontier_candidates = None
                 incremental_start = initial is not None
                 if program.frontier_safe and iteration > 1:
-                    frontier_candidates = self._changed_out_neighbors(
+                    frontier_candidates = changed_out_neighbors(
                         graph, prev_changed
                     )
                 elif incremental_start:
@@ -463,7 +464,7 @@ class HybridEngine(BSPEngine):
         # The residual frontier: out-neighbors of the final round's
         # changed vertices (host-side, like every hybrid frontier).
         return prune_pinned(
-            self._changed_out_neighbors(graph, run.carry["prev_changed"]),
+            changed_out_neighbors(graph, run.carry["prev_changed"]),
             run.pinned,
         )
 
@@ -494,16 +495,6 @@ class HybridEngine(BSPEngine):
         return frontier_candidates[frontier_candidates >= overflow_start]
 
     # ------------------------------------------------------------------
-    @staticmethod
-    def _changed_out_neighbors(
-        graph: CSRGraph, changed: Optional[np.ndarray]
-    ) -> np.ndarray:
-        """Sorted unique out-neighbors of ``changed`` (the next frontier)."""
-        if changed is None or changed.size == 0:
-            return np.empty(0, dtype=np.int64)
-        batch = mfl.expand_edges(graph.reversed(), changed)
-        return np.unique(batch.neighbor_ids.astype(np.int64, copy=False))
-
     @staticmethod
     def _resident_frontier(
         frontier_candidates: Optional[np.ndarray],
@@ -566,27 +557,6 @@ def _record_degradation(source: str, target: str, fault: Exception) -> None:
     obs.flight_dump("degradation", source=source, target=target, kind=kind)
 
 
-#: run kwargs understood by every engine; the incremental and resilience
-#: options are :class:`~repro.core.driver.BSPEngine`-only.
-_CPU_RUN_KWARGS = ("max_iterations", "record_history", "stop_on_convergence")
-
-
-def rung_kwargs(engine, run_kwargs: dict, *, primary: bool = True) -> dict:
-    """The subset of ``run_kwargs`` that ``engine`` receives on its rung.
-
-    A :class:`~repro.core.driver.BSPEngine` takes them all (so a hybrid
-    rung still recovers transient faults under ``retry_policy``), except
-    that only the primary gets ``initial_frontier``: a fallback reruns the
-    full computation, so a fault can degrade the engine but never the
-    answer.  Any other engine takes only ``_CPU_RUN_KWARGS``.
-    """
-    if not isinstance(engine, BSPEngine):
-        return {k: v for k, v in run_kwargs.items() if k in _CPU_RUN_KWARGS}
-    if primary:
-        return run_kwargs
-    return {k: v for k, v in run_kwargs.items() if k != "initial_frontier"}
-
-
 def run_ladder(
     primary,
     attempt,
@@ -597,13 +567,17 @@ def run_ladder(
 ):
     """Run ``attempt`` on ``primary``, stepping down on device failure.
 
-    ``attempt(engine, kwargs)`` runs one rung with its :func:`rung_kwargs`.
-    On device OOM or an unrecovered :class:`~repro.errors.DeviceFault` the
-    run steps down to the hybrid engine (skipped when ``primary`` is one),
-    then to ``baselines.cpu_serial.SerialEngine``, which needs no device at
-    all.  Each step records the degradation and runs the next rung inside
-    a ``detector-degrade`` span.  With ``degrade=False``, or when no rung
-    is left, the fault is re-raised after an ``unrecovered-fault`` flight
+    ``attempt(engine, kwargs)`` runs one rung.  The primary gets every
+    kwarg in ``run_kwargs``; a fallback rung gets all but
+    ``initial_frontier`` (so a hybrid or serial rung still recovers under
+    ``retry_policy``): it reruns the full computation, so a fault can
+    degrade the engine but never the answer.  On device OOM or an
+    unrecovered :class:`~repro.errors.DeviceFault` the run steps down to
+    the hybrid engine (skipped when ``primary`` is one), then to
+    ``baselines.cpu_serial.SerialEngine``, which needs no device at all.
+    Each step records the degradation and runs the next rung inside a
+    ``detector-degrade`` span.  With ``degrade=False``, or when no rung is
+    left, the fault is re-raised after an ``unrecovered-fault`` flight
     dump.  Rungs are built only after a fault.
 
     ``hybrid`` builds the hybrid rung; by default it gets the primary's
@@ -613,9 +587,12 @@ def run_ladder(
     from repro.baselines.cpu_serial import SerialEngine
 
     try:
-        return attempt(primary, rung_kwargs(primary, run_kwargs)), primary
+        return attempt(primary, run_kwargs), primary
     except (OutOfDeviceMemoryError, DeviceFault) as fault:
         failure, source = fault, primary
+    fallback_kwargs = {
+        k: v for k, v in run_kwargs.items() if k != "initial_frontier"
+    }
     rungs = []
     if degrade:
         if hybrid is None:
@@ -638,8 +615,7 @@ def run_ladder(
             kind=kind,
         ):
             try:
-                kwargs = rung_kwargs(rung, run_kwargs, primary=False)
-                return attempt(rung, kwargs), rung
+                return attempt(rung, fallback_kwargs), rung
             except (OutOfDeviceMemoryError, DeviceFault) as fault:
                 failure, source = fault, rung
     obs.flight_dump(

@@ -1,6 +1,6 @@
 """Shared metric emission for the engines.
 
-All three engines (GLP, hybrid, multi-GPU) publish the same metric
+Every engine run by :func:`repro.core.driver.drive` publishes the same metric
 families per iteration and per run so dashboards and the CLI metrics dump
 can compare them on equal terms; the ``engine`` label carries the engine
 name.  Every helper is a no-op when no observability session is active —

@@ -147,6 +147,20 @@ def prune_pinned(
     return frontier[~np.isin(frontier, pinned, assume_unique=True)]
 
 
+def changed_out_neighbors(graph: CSRGraph, changed) -> np.ndarray:
+    """Sorted unique out-neighbors of ``changed``: the next frontier.
+
+    The host-side frontier advance (no device accounting): the
+    out-neighbors of ``u`` are the vertices whose MFL input contains
+    ``u``, read from ``graph.reversed()``.  ``None`` or an empty set
+    gives an empty frontier.
+    """
+    if changed is None or np.size(changed) == 0:
+        return np.empty(0, dtype=np.int64)
+    batch = expand_edges(graph.reversed(), changed)
+    return np.unique(batch.neighbor_ids.astype(np.int64, copy=False))
+
+
 def expand_frontier(
     device: Device, reversed_graph: CSRGraph, changed: np.ndarray
 ) -> np.ndarray:

@@ -335,9 +335,7 @@ class AdvisorReport:
     @classmethod
     def from_engine(cls, engine) -> "AdvisorReport":
         """Diagnose whatever devices ``engine`` drives."""
-        from repro.core.driver import BSPEngine
-
-        if not isinstance(engine, BSPEngine):
+        if not getattr(engine, "devices", None):
             raise ObservabilityError(
                 f"engine {engine!r} exposes no simulated device"
             )

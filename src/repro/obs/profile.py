@@ -165,9 +165,7 @@ class ProfileReport:
     @classmethod
     def from_engine(cls, engine) -> "ProfileReport":
         """Profile whatever devices ``engine`` drives."""
-        from repro.core.driver import BSPEngine
-
-        if not isinstance(engine, BSPEngine):
+        if not getattr(engine, "devices", None):
             raise ObservabilityError(
                 f"engine {engine!r} exposes no simulated device"
             )

@@ -17,7 +17,6 @@ import numpy as np
 
 from repro import obs
 from repro.algorithms.seeded import SeededFraudLP, Seeds
-from repro.core.hybrid import rung_kwargs
 from repro.core.results import LPResult
 from repro.errors import PipelineError
 from repro.pipeline.window import WindowGraph
@@ -71,11 +70,10 @@ class ClusterDetector:
     min_cluster_size / max_cluster_size:
         Size band of "small susceptible clusters" handed downstream.
     retry_policy:
-        Serving-grade in-run recovery: forwarded to every
-        :class:`~repro.core.driver.BSPEngine` — the configured engine and
-        a hybrid ladder rung alike — so transient device faults retry
-        from the BSP checkpoint instead of failing the whole slide (CPU
-        engines never see it).
+        Serving-grade in-run recovery: forwarded to every engine — the
+        configured engine and each ladder rung alike — so transient device
+        faults retry from the BSP checkpoint instead of failing the whole
+        slide.
     """
 
     def __init__(
@@ -113,10 +111,9 @@ class ClusterDetector:
         rebuilding the detector.
 
         ``initial_frontier`` is the incremental-slide affected set (see
-        :mod:`repro.pipeline.dynlp`); like ``retry_policy`` it reaches only
-        a :class:`~repro.core.driver.BSPEngine` (see
-        :func:`repro.core.hybrid.rung_kwargs`), so CPU engines silently run
-        the usual full detection.
+        :mod:`repro.pipeline.dynlp`); an engine without frontier execution
+        (a dense engine, a CPU baseline) ignores it and runs the usual
+        full detection.
         """
         seeds = Seeds.of(seeds)
         if not seeds:
@@ -135,9 +132,7 @@ class ClusterDetector:
             window=window.graph.name,
             seeds=len(seeds),
         ):
-            lp_result = run_engine.run(
-                window.graph, program, **rung_kwargs(run_engine, run_kwargs)
-            )
+            lp_result = run_engine.run(window.graph, program, **run_kwargs)
         labels = lp_result.labels
         groups = program.clusters(labels)
         # A seed anchors cluster L when both its seed label and its final

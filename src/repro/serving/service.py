@@ -188,17 +188,22 @@ def batch_labels_hash(
 ) -> str:
     """Labels hash of a from-scratch, non-incremental replay.
 
-    The consistency oracle: a cold detector with a fresh engine replays
-    ``start`` plus ``num_slides`` slides with no DynLP planning, no warm
-    device state and no fault history.  The served incremental state must
-    hash identically.
+    The consistency oracle: a cold detector replays ``start`` plus
+    ``num_slides`` slides with no DynLP planning, no warm state and no
+    fault history.  The served incremental state must hash identically.
+    The replay runs on :class:`~repro.baselines.cpu_serial.SerialEngine`,
+    which drives no simulated device, so an installed fault plan or
+    memory tracker never sees it: a probe neither consumes planned faults
+    nor walks the degradation ladder.  It still runs under the caller's
+    obs session, so its ``slide.*`` and ``engine.*`` events land in the
+    served journal until ambient IDs move to ``contextvars``.
     """
-    from repro import GLPEngine
+    from repro.baselines.cpu_serial import SerialEngine
 
     detector = SlidingWindowDetector(
         stream,
         ClusterDetector(
-            GLPEngine(frontier="auto"),
+            SerialEngine(),
             max_iterations=max_iterations,
             max_hops=max_hops,
         ),

@@ -84,17 +84,6 @@ def test_tampered_registry_subscriber_is_caught(monkeypatch):
     assert any("on_free" in f.message for f in mismatches)
 
 
-def test_cli_device_engine_must_be_a_bsp_engine(monkeypatch):
-    from repro import baselines
-    from repro.baselines.cpu_serial import SerialEngine
-
-    monkeypatch.setattr(baselines, "GSortEngine", SerialEngine)
-    report = check_contracts()
-    (finding,) = report.findings
-    assert finding.rule == "contract-cli-capability-mismatch"
-    assert "'gsort'" in finding.message
-
-
 def test_bsp_engine_missing_a_driver_hook_fails_at_construction():
     """A device engine without ``_attempt`` cannot be built, so
     ``drive`` never meets it."""

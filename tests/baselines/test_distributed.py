@@ -6,6 +6,7 @@ import pytest
 from repro import ClassicLP
 from repro.baselines import InHouseDistributedEngine, SerialEngine
 from repro.baselines.distributed import ClusterSpec, TAOBAO_CLUSTER
+from repro.graph.generators.rmat import rmat_graph
 
 
 class TestCorrectness:
@@ -19,6 +20,18 @@ class TestCorrectness:
             stop_on_convergence=False,
         )
         assert np.array_equal(result.labels, reference.labels)
+
+    def test_reused_engine_matches_fresh_engine(self):
+        """One engine run over many short-lived graphs times each exactly
+        as a fresh engine does, even when a new graph reuses a freed
+        graph's ``id``."""
+        reused = InHouseDistributedEngine()
+        kwargs = dict(max_iterations=2, stop_on_convergence=False)
+        for seed in range(30):
+            graph = rmat_graph(6 + seed % 3, 4.0, seed=seed)
+            got = reused.run(graph, ClassicLP(), **kwargs)
+            want = InHouseDistributedEngine().run(graph, ClassicLP(), **kwargs)
+            assert got.total_seconds == want.total_seconds, seed
 
     def test_engine_name(self, two_cliques_graph):
         result = InHouseDistributedEngine().run(

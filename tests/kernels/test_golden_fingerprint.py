@@ -1,8 +1,8 @@
 """Golden fingerprint: labels and every per-iteration statistic, bit for bit.
 
 A fixed set of engine runs — every LP program family, every strategy
-preset, both pass kinds, frontier dispatch, hybrid residency and
-multi-device partitioning — is reduced to its labels digest and the full
+preset, both pass kinds, frontier dispatch, hybrid residency,
+multi-device partitioning and every CPU baseline — is reduced to its labels digest and the full
 :class:`~repro.core.results.IterationStats` of every iteration (seconds as
 ``float.hex``, every counter, every ``kernel_stats`` entry).  Any change to
 a kernel's functional result or to its simulated accounting shows up as a
@@ -23,7 +23,16 @@ import pytest
 
 from repro import ClassicLP, GLPEngine
 from repro.algorithms.llp import LayeredLP
+from repro.algorithms.seeded import SeededFraudLP
 from repro.algorithms.slp import SpeakerListenerLP
+from repro.baselines import (
+    InHouseDistributedEngine,
+    LigraEngine,
+    OMPEngine,
+    SerialEngine,
+    TigerGraphEngine,
+)
+from repro.baselines.cpu_serial import BlockAsyncSerialEngine
 from repro.core.hybrid import HybridEngine
 from repro.core.multigpu import MultiGPUEngine
 from repro.graph.builder import from_edge_arrays
@@ -77,6 +86,14 @@ _TINY_SKETCH = StrategyConfig(
     high_threshold=64, ht_capacity=8, cms_depth=2, cms_width=8
 )
 
+#: The LP program families every CPU baseline runs.
+_PROGRAMS = {
+    "classic": ClassicLP,
+    "llp": lambda: LayeredLP(gamma=0.5),
+    "slp": lambda: SpeakerListenerLP(seed=3),
+    "seeded": lambda: SeededFraudLP({0: 1, 5: 2, 17: 1, 100: 2}),
+}
+
 #: ``name -> (engine factory, program factory, graph factory)``.
 RUNS = {
     "glp-classic": (GLPEngine, ClassicLP, _graph),
@@ -108,6 +125,24 @@ RUNS = {
         _graph,
     ),
     "multigpu-3": (lambda: MultiGPUEngine(3), ClassicLP, _graph),
+    **{
+        f"{prefix}-{program}": (engine, _PROGRAMS[program], _graph)
+        for prefix, engine in (
+            ("serial", SerialEngine),
+            ("omp", OMPEngine),
+            ("distributed", InHouseDistributedEngine),
+        )
+        for program in _PROGRAMS
+    },
+    # TG ships classic LP only.
+    "tg-classic": (TigerGraphEngine, ClassicLP, _graph),
+    # Both reach sparse rounds: iteration 3 changes under |V|/20 vertices
+    # (the seeded run's iteration 5 has an empty active set).
+    "ligra-classic": (LigraEngine, ClassicLP, _graph),
+    "ligra-seeded": (LigraEngine, _PROGRAMS["seeded"], _graph),
+    "serial-async-8": (
+        lambda: BlockAsyncSerialEngine(num_blocks=8), ClassicLP, _graph
+    ),
 }
 
 

@@ -216,9 +216,9 @@ class TestLadderRungs:
     def test_each_rung_receives_its_own_run_kwargs(
         self, stream, monkeypatch
     ):
-        """Primary: ``initial_frontier`` and ``retry_policy``; hybrid:
-        ``retry_policy`` only (it still recovers transient faults);
-        serial: neither."""
+        """Primary: ``initial_frontier`` and ``retry_policy``; each
+        fallback rung (hybrid, serial): ``retry_policy`` only — it still
+        recovers, but reruns the full computation."""
         detector = SlidingWindowDetector(
             stream,
             ClusterDetector(
@@ -237,6 +237,6 @@ class TestLadderRungs:
         assert received == {
             "GLPEngine": ["initial_frontier", "max_iterations", "retry_policy"],
             "HybridEngine": ["max_iterations", "retry_policy"],
-            "SerialEngine": ["max_iterations"],
+            "SerialEngine": ["max_iterations", "retry_policy"],
         }
         assert len(calls) == 3

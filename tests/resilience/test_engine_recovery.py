@@ -10,12 +10,14 @@ import numpy as np
 import pytest
 
 from repro import ClassicLP, GLPEngine, SeededFraudLP, obs
+from repro.baselines import LigraEngine, SerialEngine
 from repro.baselines.gsort import GSortEngine
 from repro.core.hybrid import HybridEngine
 from repro.core.multigpu import MultiGPUEngine
 from repro.errors import KernelAbortFault
 from repro.gpusim import hooks
 from repro.graph.generators import planted_partition_graph
+from repro.graph.generators.rmat import rmat_graph
 from repro.resilience import (
     FaultPlan,
     RetryPolicy,
@@ -287,6 +289,30 @@ class TestCheckpointResume:
         # iteration; its stats list is the tail, not all 8 rounds.
         assert resumed.num_iterations < 8
         assert resumed.iterations[0].iteration > 1
+
+
+@pytest.mark.parametrize("make", [SerialEngine, LigraEngine])
+class TestCPUResume:
+    def test_resume_from_mid_run_checkpoint(self, tmp_path, make):
+        """A CPU run resumed from a mid-run checkpoint ends bitwise
+        identical, and its remaining rounds cost what they did: the
+        changed-set carry comes back with the labels (Ligra's round 4 is
+        sparse only because round 3's changed set is restored)."""
+        graph = rmat_graph(10, 12.0, seed=5)
+        kwargs = dict(stop_on_convergence=False)
+        reference = make().run(graph, ClassicLP(), max_iterations=6, **kwargs)
+        # Cut after three rounds: the last checkpoint is the top of
+        # round 4.
+        make().run(
+            graph, ClassicLP(), max_iterations=4,
+            checkpoint_dir=str(tmp_path), **kwargs,
+        )
+        resumed = make().run(
+            graph, ClassicLP(), max_iterations=6,
+            resume_from=str(tmp_path), **kwargs,
+        )
+        assert resumed.labels_hash() == reference.labels_hash()
+        assert resumed.iterations == reference.iterations[3:]
 
 
 class TestEngineName:

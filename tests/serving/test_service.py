@@ -253,6 +253,24 @@ class TestIdentity:
         )
 
 
+    def test_probes_consume_no_planned_faults(self, stream):
+        """The identity oracle drives no simulated device: under a plan
+        that OOMs every allocation, a probed run fires exactly the faults
+        an unprobed one does, and every probe still matches."""
+        generator = LoadGenerator(stream, LoadGenConfig(qps=60.0, seed=2))
+        events = generator.schedule(6, 3)
+        fired = {}
+        for probe_every in (0, 1):
+            service = make_service(stream, probe_every=probe_every)
+            with inject(FaultPlan.parse("oom@1x999999")) as injector:
+                report = run(service.serve(events))
+            fired[probe_every] = len(injector.events)
+        assert report.probes == 3
+        assert report.probe_mismatches == 0
+        assert fired[0] > 0
+        assert fired[1] == fired[0]
+
+
 class TestSoak:
     def test_bursty_load_with_device_fault(self, stream):
         """Soak: bursty load, a device fault injected mid-stream.

@@ -7,6 +7,7 @@ import pathlib
 import numpy as np
 import pytest
 
+from repro import cli
 from repro.cli import build_parser, main
 
 
@@ -62,6 +63,14 @@ class TestRunCommand:
               "--no-early-stop"])
         out = capsys.readouterr().out
         assert "global traffic" not in out
+
+    @pytest.mark.parametrize("name", cli.ENGINES)
+    def test_every_engine_choice_is_a_bsp_engine(self, name):
+        """Every ``run --engine`` choice runs on ``drive``, so none of the
+        resilience flags can miss its engine."""
+        from repro.core.driver import BSPEngine
+
+        assert isinstance(cli._build_engine(name), BSPEngine)
 
 
 class TestOtherCommands:
@@ -328,6 +337,23 @@ class TestResilienceFlags:
         ])
         resumed = json.loads(capsys.readouterr().out)
         assert code == 0
+        assert resumed["labels_hash"] == base_doc["labels_hash"]
+
+    @pytest.mark.parametrize("engine", ["serial", "ligra"])
+    def test_cpu_engine_checkpoint_then_resume(
+        self, engine, tmp_path, capsys
+    ):
+        """A CPU run takes ``--retries`` and ``--checkpoint-dir``, and a
+        resume from its last checkpoint reproduces its labels."""
+        flags = ["run", "dblp", "--engine", engine, "--iterations", "5",
+                 "--no-early-stop", "--json"]
+        assert main(flags) == 0
+        base_doc = json.loads(capsys.readouterr().out)
+        assert main(flags + ["--retries", "1",
+                             "--checkpoint-dir", str(tmp_path)]) == 0
+        assert json.loads(capsys.readouterr().out) == base_doc
+        assert main(flags + ["--resume", str(tmp_path)]) == 0
+        resumed = json.loads(capsys.readouterr().out)
         assert resumed["labels_hash"] == base_doc["labels_hash"]
 
     def test_resilience_flags_need_device_engine(self, capsys):
