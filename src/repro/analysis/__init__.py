@@ -31,8 +31,7 @@ hashes, counters, or modeled timings.
 
 from __future__ import annotations
 
-import contextlib
-from typing import Iterator, Optional
+from typing import ContextManager, Optional
 
 from repro.analysis.consistency import check_consistency
 from repro.analysis.contracts import check_contracts
@@ -70,8 +69,6 @@ __all__ = [
     "check_consistency",
     "check_contracts",
     "check_dataflow",
-    "disable_sanitizer",
-    "enable_sanitizer",
     "iter_python_files",
     "lint_file",
     "lint_module",
@@ -79,42 +76,15 @@ __all__ = [
     "lint_program",
     "lint_source",
     "sanitize",
-    "session_sanitizer",
 ]
 
 
-def enable_sanitizer(
-    config: Optional[SanitizerConfig] = None,
-) -> Sanitizer:
-    """Install an ambient session sanitizer and return it.
-
-    Every subsequent kernel launch on any device attaches to it (unless
-    the launch explicitly passes ``sanitize=False``).  Call
-    :func:`disable_sanitizer` to detach.
-    """
-    sanitizer = Sanitizer(config=config)
-    _hooks.set_session(sanitizer)
-    return sanitizer
-
-
-def disable_sanitizer() -> None:
-    """Remove the ambient session sanitizer, if any."""
-    _hooks.set_session(None)
-
-
-def session_sanitizer() -> Optional[Sanitizer]:
-    """The currently-installed ambient sanitizer, if any."""
-    return _hooks.session()
-
-
-@contextlib.contextmanager
 def sanitize(
     config: Optional[SanitizerConfig] = None,
-) -> Iterator[Sanitizer]:
-    """Context manager scoping an ambient sanitizer to a ``with`` block."""
-    previous = _hooks.session()
-    sanitizer = enable_sanitizer(config)
-    try:
-        yield sanitizer
-    finally:
-        _hooks.set_session(previous)
+) -> ContextManager[Sanitizer]:
+    """Scope an ambient session sanitizer to a ``with`` block.
+
+    Every kernel launch on any device inside the block attaches to it
+    (unless the launch explicitly passes ``sanitize=False``).
+    """
+    return _hooks.installed(_hooks.SESSION, Sanitizer(config=config))

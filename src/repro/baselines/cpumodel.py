@@ -166,6 +166,11 @@ class CPUEngineBase(BSPEngine):
                 transfer_seconds=0.0,
                 changed_vertices=int(changed.size),
                 counters=PerfCounters(),
+                kernel_stats={
+                    "pass_mode": "sparse" if active is not None else "dense"
+                },
+                frontier_size=processed,
+                processed_edges=edges,
             )
             return new_labels, stats, {}
 

@@ -40,8 +40,8 @@ class LigraEngine(CPUEngineBase):
     ) -> Optional[np.ndarray]:
         if not program.frontier_safe or changed is None:
             return None
-        # Dense mode is cheaper once most vertices are active (Ligra's
-        # sparse->dense threshold is |frontier edges| > E/20).
+        # Dense mode is cheaper once many vertices are active: go dense
+        # when more than |V|/20 vertices changed last round.
         if changed.size > graph.num_vertices // 20:
             return None
         return changed_out_neighbors(graph, changed)

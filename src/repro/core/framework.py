@@ -114,7 +114,7 @@ class GLPEngine(BSPEngine):
         # bitmap.  Each upload is tagged with its semantic category so the
         # memory tracker (when installed) attributes the watermark
         # correctly.
-        tracker = hooks.memory()
+        tracker = hooks.MEMORY.get()
         if tracker is not None:
             from repro.core.hybrid import device_footprint
 

@@ -218,7 +218,7 @@ class HybridEngine(BSPEngine):
         # arrays plus the chunk bytes it admitted — is noted to the memory
         # tracker so the watermark report can grade it against the
         # measured peak.
-        tracker = hooks.memory()
+        tracker = hooks.MEMORY.get()
         if tracker is not None:
             label_bytes = (graph.num_vertices + 1) * ELEM_BYTES
             tracker.note_prediction(

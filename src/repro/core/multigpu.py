@@ -284,7 +284,7 @@ class MultiGPUEngine(BSPEngine):
             # The exchange is modeled straight on the transfer clock (no
             # DeviceArray ever exists), so the memory tracker is told
             # about the traffic explicitly.
-            tracker = hooks.memory()
+            tracker = hooks.MEMORY.get()
             if tracker is not None and exchange_bytes:
                 tracker.on_exchange(
                     self.devices[0], exchange_bytes, exchange_seconds

@@ -102,7 +102,7 @@ class AtomicsModel:
         )
         self._counters.global_atomic_serialized_ops += serialized
         if array is not None:
-            active = hooks.active()
+            active = hooks.ACTIVE.get()
             if active is not None:
                 active.record(
                     "global",
@@ -131,7 +131,7 @@ class AtomicsModel:
         self._counters.shared_store_ops += total
         self._counters.shared_atomic_serialized_ops += serialized
         if array is not None:
-            active = hooks.active()
+            active = hooks.ACTIVE.get()
             if active is not None:
                 active.record(
                     "shared",

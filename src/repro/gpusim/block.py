@@ -60,7 +60,7 @@ def block_reduce_max_cost(
     # stores and warp 0's final reduction: advance the sanitizer's
     # happens-before epoch (no cost — already folded into the
     # instruction counts above).
-    sanitizer = hooks.active()
+    sanitizer = hooks.ACTIVE.get()
     if sanitizer is not None:
         sanitizer.barrier(expected_warps=warps, arrived_warps=warps)
 

@@ -55,7 +55,7 @@ class DeviceArray:
     device: "Device" = field(repr=False)
     freed: bool = False
     #: Semantic allocation category (csr, labels, frontier, ...) captured
-    #: from the ambient :func:`repro.gpusim.hooks.memscope` at allocation.
+    #: from the ambient :data:`repro.gpusim.hooks.MEMSCOPE` at allocation.
     category: str = "scratch"
     #: The engine scope that made the allocation (e.g. ``glp.residency``).
     origin: str = ""
@@ -161,18 +161,18 @@ class Device:
         return self._register(data)
 
     def _register(self, data: np.ndarray, *, kind: str = "alloc") -> DeviceArray:
-        injector = hooks.faults()
+        injector = hooks.FAULTS.get()
         if injector is not None:
             injector.on_alloc(self.index, data.nbytes)
         if data.nbytes > self.free_bytes:
-            tracker = hooks.memory()
+            tracker = hooks.MEMORY.get()
             if tracker is not None:
                 tracker.on_oom(self, data.nbytes)
             raise OutOfDeviceMemoryError(
                 f"allocation of {data.nbytes} B exceeds free device memory "
                 f"({self.free_bytes} of {self.spec.global_mem_bytes} B)"
             )
-        scope = hooks.memscope()
+        scope = hooks.MEMSCOPE.get()
         if scope is not None:
             handle = DeviceArray(
                 data=data, device=self, category=scope[0], origin=scope[1]
@@ -183,7 +183,7 @@ class Device:
         if self._allocated_bytes > self._peak_allocated_bytes:
             self._peak_allocated_bytes = self._allocated_bytes
         self._live_arrays[id(handle)] = handle
-        tracker = hooks.memory()
+        tracker = hooks.MEMORY.get()
         if tracker is not None:
             tracker.on_alloc(self, handle, kind)
         return handle
@@ -197,7 +197,7 @@ class Device:
         del self._live_arrays[id(handle)]
         self._allocated_bytes -= handle.nbytes
         handle.freed = True
-        tracker = hooks.memory()
+        tracker = hooks.MEMORY.get()
         if tracker is not None:
             tracker.on_free(self, handle)
 
@@ -213,7 +213,7 @@ class Device:
             released += handle.nbytes
             count += 1
             self.free(handle)
-        tracker = hooks.memory()
+        tracker = hooks.MEMORY.get()
         if tracker is not None:
             tracker.on_free_all(self, released, count)
         return released
@@ -228,7 +228,7 @@ class Device:
         reference can write it, so the simulated device copy could never
         differ from it.  Accounting is the same either way.
         """
-        injector = hooks.faults()
+        injector = hooks.FAULTS.get()
         if injector is not None:
             injector.on_transfer(self.index, host_array.nbytes, "h2d")
         host_array = np.ascontiguousarray(host_array)
@@ -243,7 +243,7 @@ class Device:
         self._h2d_count += 1
         self._h2d_bytes += host_array.nbytes
         self._h2d_seconds += seconds
-        tracker = hooks.memory()
+        tracker = hooks.MEMORY.get()
         if tracker is not None:
             tracker.on_transfer(
                 self, "h2d", host_array.nbytes, seconds, streamed=False
@@ -253,7 +253,7 @@ class Device:
     def d2h(self, handle: DeviceArray) -> np.ndarray:
         """Copy a device array back to the host (PCIe-timed)."""
         handle._check_alive()
-        injector = hooks.faults()
+        injector = hooks.FAULTS.get()
         if injector is not None:
             injector.on_transfer(self.index, handle.nbytes, "d2h")
         seconds = transfer_time(handle.nbytes, self.spec)
@@ -263,7 +263,7 @@ class Device:
         self._d2h_count += 1
         self._d2h_bytes += handle.nbytes
         self._d2h_seconds += seconds
-        tracker = hooks.memory()
+        tracker = hooks.MEMORY.get()
         if tracker is not None:
             tracker.on_transfer(
                 self, "d2h", handle.nbytes, seconds, streamed=False
@@ -290,7 +290,7 @@ class Device:
         bytes cross PCIe (and are timed) but never live in the allocation
         table.
         """
-        injector = hooks.faults()
+        injector = hooks.FAULTS.get()
         if injector is not None:
             injector.on_transfer(self.index, nbytes, "h2d")
         seconds = transfer_time(nbytes, self.spec)
@@ -300,13 +300,13 @@ class Device:
         self._h2d_count += 1
         self._h2d_bytes += nbytes
         self._h2d_seconds += seconds
-        tracker = hooks.memory()
+        tracker = hooks.MEMORY.get()
         if tracker is not None:
             tracker.on_transfer(self, "h2d", nbytes, seconds, streamed=True)
 
     def stream_to_host(self, nbytes: int) -> None:
         """Account a D2H stream that reads no allocation (label deltas)."""
-        injector = hooks.faults()
+        injector = hooks.FAULTS.get()
         if injector is not None:
             injector.on_transfer(self.index, nbytes, "d2h")
         seconds = transfer_time(nbytes, self.spec)
@@ -316,7 +316,7 @@ class Device:
         self._d2h_count += 1
         self._d2h_bytes += nbytes
         self._d2h_seconds += seconds
-        tracker = hooks.memory()
+        tracker = hooks.MEMORY.get()
         if tracker is not None:
             tracker.on_transfer(self, "d2h", nbytes, seconds, streamed=True)
 
@@ -368,7 +368,7 @@ class Device:
                 num_banks=self.spec.num_shared_banks,
             )
             return self._sanitizer
-        return hooks.session()
+        return hooks.SESSION.get()
 
     def sanitizer_report(self):
         """This device's sanitizer report, or ``None`` if never sanitized."""
@@ -389,7 +389,7 @@ class Device:
         happens-before epoch (and checks divergence when arrival counts
         are supplied).  A no-op when no sanitizer is attached.
         """
-        active = hooks.active()
+        active = hooks.ACTIVE.get()
         if active is not None:
             active.barrier(
                 expected_warps=expected_warps, arrived_warps=arrived_warps
@@ -400,20 +400,18 @@ class Device:
         self, name: str, *, sanitize: Optional[bool] = None
     ) -> Iterator[PerfCounters]:
         """Run a kernel body; time it from the counter delta on exit."""
-        injector = hooks.faults()
+        injector = hooks.FAULTS.get()
         if injector is not None:
             injector.on_launch(self.index, name)
         snapshot = self.counters.copy()
         self.counters.kernel_launches += 1
         san = self._resolve_sanitizer(sanitize)
-        previous = hooks.active()
         if san is not None:
             san.begin_kernel(name, device_index=self.index)
-        hooks.set_active(san)
         try:
-            yield self.counters
+            with hooks.installed(hooks.ACTIVE, san):
+                yield self.counters
         finally:
-            hooks.set_active(previous)
             if san is not None:
                 san.end_kernel()
         delta = self.counters.delta_since(snapshot)

@@ -1,120 +1,74 @@
-"""Sanitizer hook registry: where the simulator meets ``repro.analysis``.
+"""Ambient hook slots: where the simulator meets ``repro.analysis``,
+``repro.resilience`` and ``repro.obs.memory``.
 
-The accounting models (:mod:`~repro.gpusim.memory`,
-:mod:`~repro.gpusim.sharedmem`, :mod:`~repro.gpusim.atomics`), the warp
-intrinsics and the block helpers all observe memory and synchronization
-events.  When a sanitizer is attached they forward those events here; with
-no sanitizer attached every forward is one module read plus a ``None``
-check, so counters, labels and timings stay bitwise identical — the same
-contract :mod:`repro.obs` honors.
+Each slot is a module-level :class:`contextvars.ContextVar` that defaults
+to ``None``.  Readers call ``SLOT.get()``; writers use :func:`installed`,
+which sets the slot for a ``with`` block and restores the previous value
+on exit.  Because the slots are context variables, a value installed in
+one thread or asyncio task is invisible to another, and
+``asyncio.to_thread`` hands a worker thread exactly the slots of the task
+that started it.
 
-Two attachment scopes:
+* :data:`ACTIVE` — the sanitizer of the kernel launch in flight
+  (:meth:`repro.gpusim.device.Device.launch` installs it for one kernel
+  body).  The accounting models (:mod:`~repro.gpusim.memory`,
+  :mod:`~repro.gpusim.sharedmem`, :mod:`~repro.gpusim.atomics`), the warp
+  intrinsics and the block helpers forward memory and synchronization
+  events to it.
+* :data:`SESSION` — the ambient session sanitizer
+  (:func:`repro.analysis.sanitize`) every kernel launch on any device
+  attaches to; this is how ``repro run --sanitize`` covers engines that
+  build their own devices.
+* :data:`FAULTS` — the fault injector of :mod:`repro.resilience`:
+  ``Device.alloc``/``h2d``/``d2h``/``launch`` forward their events to it
+  and it may raise typed :class:`~repro.errors.DeviceFault`\\ s at the
+  planned event indices.
+* :data:`MEMORY` — the :class:`~repro.obs.memory.MemoryTracker` that
+  ``Device`` allocation and transfer events are forwarded to.
+* :data:`MEMSCOPE` — the ``(category, origin)`` allocation tag engines set
+  around their residency uploads (:func:`repro.obs.memory.alloc_scope`),
+  so every allocation is attributed to a semantic category (``csr``,
+  ``labels``, ``frontier``, ...).
 
-* **kernel scope** — :meth:`repro.gpusim.device.Device.launch` installs the
-  resolved sanitizer for the duration of one kernel body
-  (:func:`set_active` / :func:`active`);
-* **session scope** — :func:`repro.analysis.sanitize` installs an ambient
-  sanitizer every subsequent kernel launch on any device attaches to
-  (:func:`set_session` / :func:`session`), which is how
-  ``repro run --sanitize`` covers engines that build their own devices.
+With nothing installed every forward is one ``ContextVar.get`` plus a
+``None`` check, so counters, labels and timings stay bitwise identical —
+the same contract :mod:`repro.obs` honors.
 
-The same registry carries the **fault-injection** slot used by
-:mod:`repro.resilience`: when a :class:`~repro.resilience.FaultInjector`
-is installed (:func:`set_faults` / :func:`faults`),
-``Device.alloc``/``h2d``/``d2h``/``launch`` forward their events to it and
-it may raise typed :class:`~repro.errors.DeviceFault`\\ s at the planned
-event indices.  With no injector installed every forward is one module
-read plus a ``None`` check — zero perturbation, same contract as the
-sanitizer and :mod:`repro.obs`.
-
-The registry also carries the **memory-telemetry** slots used by
-:mod:`repro.obs.memory`: an ambient :class:`~repro.obs.memory.MemoryTracker`
-(:func:`set_memory` / :func:`memory`) that ``Device.alloc``/``free``/
-``free_all``/``h2d``/``d2h``/``stream_to_device``/``stream_to_host``
-forward allocation and transfer events to, and an ambient allocation
-scope tag (:func:`set_memscope` / :func:`memscope`) engines set around
-their residency uploads so every allocation is attributed to a semantic
-category (``csr``, ``labels``, ``frontier``, ...).  Same zero-perturbation
-contract: with no tracker installed each forward is one module read plus
-a ``None`` check.
-
-This module deliberately imports nothing: the simulator must stay loadable
-without :mod:`repro.analysis` or :mod:`repro.resilience`, and those
-packages plug in through these slots only.
+This module deliberately imports nothing from the rest of the package:
+the simulator must stay loadable without :mod:`repro.analysis` or
+:mod:`repro.resilience`, and those packages plug in through these slots
+only.
 """
 
 from __future__ import annotations
 
-#: Sanitizer recording the currently-executing kernel launch (or ``None``).
-_ACTIVE = None
+import contextlib
+from contextvars import ContextVar
+from typing import Any, Iterator, TypeVar
 
-#: Ambient session sanitizer future launches should attach to (or ``None``).
-_SESSION = None
+T = TypeVar("T")
 
+#: Sanitizer recording the currently-executing kernel launch.
+ACTIVE: ContextVar[Any] = ContextVar("repro.gpusim.ACTIVE", default=None)
 
-def active():
-    """The sanitizer attached to the kernel launch in flight, if any."""
-    return _ACTIVE
+#: Ambient session sanitizer future launches attach to.
+SESSION: ContextVar[Any] = ContextVar("repro.gpusim.SESSION", default=None)
 
+#: Ambient fault injector device events are forwarded to.
+FAULTS: ContextVar[Any] = ContextVar("repro.gpusim.FAULTS", default=None)
 
-def set_active(sanitizer) -> None:
-    """Install (or clear, with ``None``) the kernel-scope sanitizer."""
-    global _ACTIVE
-    _ACTIVE = sanitizer
+#: Ambient device-memory tracker alloc/free/transfer events go to.
+MEMORY: ContextVar[Any] = ContextVar("repro.gpusim.MEMORY", default=None)
 
-
-def session():
-    """The ambient session sanitizer, if one is installed."""
-    return _SESSION
-
-
-def set_session(sanitizer) -> None:
-    """Install (or clear, with ``None``) the session-scope sanitizer."""
-    global _SESSION
-    _SESSION = sanitizer
+#: Ambient ``(category, origin)`` allocation tag.
+MEMSCOPE: ContextVar[Any] = ContextVar("repro.gpusim.MEMSCOPE", default=None)
 
 
-#: Ambient fault injector device events are forwarded to (or ``None``).
-_FAULTS = None
-
-
-def faults():
-    """The installed fault injector, if any."""
-    return _FAULTS
-
-
-def set_faults(injector) -> None:
-    """Install (or clear, with ``None``) the ambient fault injector."""
-    global _FAULTS
-    _FAULTS = injector
-
-
-#: Ambient device-memory tracker (:class:`repro.obs.memory.MemoryTracker`)
-#: alloc/free/h2d/d2h/stream events are forwarded to (or ``None``).
-_MEMORY = None
-
-#: Ambient allocation scope tag — a ``(category, origin)`` tuple naming
-#: the semantic meaning of allocations made while it is set (or ``None``).
-_MEMSCOPE = None
-
-
-def memory():
-    """The installed memory tracker, if any."""
-    return _MEMORY
-
-
-def set_memory(tracker) -> None:
-    """Install (or clear, with ``None``) the ambient memory tracker."""
-    global _MEMORY
-    _MEMORY = tracker
-
-
-def memscope():
-    """The ambient ``(category, origin)`` allocation tag, if any."""
-    return _MEMSCOPE
-
-
-def set_memscope(scope) -> None:
-    """Set (or clear, with ``None``) the ambient allocation tag."""
-    global _MEMSCOPE
-    _MEMSCOPE = scope
+@contextlib.contextmanager
+def installed(var: ContextVar[T], value: T) -> Iterator[T]:
+    """Set ``var`` to ``value`` for the block; restore it on exit."""
+    token = var.set(value)
+    try:
+        yield value
+    finally:
+        var.reset(token)

@@ -111,7 +111,7 @@ class GlobalMemoryModel:
         """
         if array is None:
             return
-        active = hooks.active()
+        active = hooks.ACTIVE.get()
         if active is not None:
             active.record(
                 "global", array, offsets, kind=kind, warp_ids=warp_ids
@@ -204,7 +204,7 @@ class GlobalMemoryModel:
             self._sanitize(
                 load.array, load.indices, "read", warp_ids=load.warp_ids
             )
-        elif load.array is not None and hooks.active() is not None:
+        elif load.array is not None and hooks.ACTIVE.get() is not None:
             # Expand per-element offsets (one warp per segment) only when
             # a sanitizer is actually listening — it is O(total length).
             nonzero = load.lengths > 0

@@ -131,7 +131,7 @@ class SharedMemoryModel:
             word_addresses, np.asarray(warp_ids), self._spec.num_shared_banks
         )
         if array is not None:
-            active = hooks.active()
+            active = hooks.ACTIVE.get()
             if active is not None:
                 active.record(
                     "shared",

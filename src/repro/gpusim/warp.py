@@ -28,7 +28,7 @@ def _notify_sync(intrinsic: str, active: np.ndarray) -> None:
     Synccheck semantics: naming lanes that never reach the intrinsic (a
     warp with an empty active mask) is undefined behaviour on hardware.
     """
-    sanitizer = hooks.active()
+    sanitizer = hooks.ACTIVE.get()
     if sanitizer is not None:
         sanitizer.warp_sync(intrinsic, active)
 

@@ -31,16 +31,19 @@ Observability is **off by default** and activated per-session::
 
 Instrumented code calls the module-level helpers (:func:`span`,
 :func:`metrics`, :func:`tracer`, :func:`emit`, :func:`correlate`,
-:func:`session`); with no active session they cost one global read and
-change **nothing** — labels, counters and timings are bitwise identical,
-which ``tests/obs/test_identity.py`` enforces differentially.
+:func:`session`); with no active session they cost one context-variable
+read and change **nothing** — labels, counters and timings are bitwise
+identical, which ``tests/obs/test_identity.py`` enforces differentially.
 """
 
 from __future__ import annotations
 
 import contextlib
-from typing import Dict, Iterator, Optional
+from contextvars import ContextVar
+from types import MappingProxyType
+from typing import ContextManager, Dict, Iterator, Mapping, Optional
 
+from repro.gpusim.hooks import installed
 from repro.obs.advisor import AdvisorReport, Finding, KernelDiagnosis
 from repro.obs.flight import FlightRecorder
 from repro.obs.journal import Journal, mint_run_id
@@ -69,9 +72,7 @@ __all__ = [
     "alloc_scope",
     "annotate",
     "correlate",
-    "disable",
     "emit",
-    "enable",
     "flight",
     "flight_dump",
     "journal",
@@ -88,10 +89,11 @@ __all__ = [
 class ObsSession:
     """One observability session: tracer, metrics, journal and flight.
 
-    The session also owns the correlation-ID state: ``run_id`` is minted
-    once at construction; :func:`mint_id` hands out per-kind sequential
-    IDs (``slide-0001``, ``attempt-0003``, ...) and :func:`correlate`
-    scopes them so every :func:`emit` inside the scope carries them.
+    The session also owns the correlation-ID counters: ``run_id`` is
+    minted once at construction; :func:`mint_id` hands out per-kind
+    sequential IDs (``slide-0001``, ``attempt-0003``, ...) and
+    :func:`correlate` scopes them so every :func:`emit` inside the scope,
+    in the same thread or task, carries them.
     """
 
     def __init__(
@@ -114,8 +116,6 @@ class ObsSession:
         self.flight: Optional[FlightRecorder] = (
             FlightRecorder(capacity=flight_capacity) if journal else None
         )
-        #: Ambient correlation IDs stamped onto every journal event.
-        self.ids: Dict[str, str] = {"slide_id": "", "attempt_id": ""}
         #: Session context notes included in post-mortem bundles
         #: (latest checkpoint pointer, slide diff summary, ...).
         self.context: Dict[str, object] = {}
@@ -129,11 +129,21 @@ class ObsSession:
 
     def correlation_ids(self) -> Dict[str, str]:
         """The ambient IDs, run_id included (for bundles/reports)."""
-        return {"run_id": self.run_id, **self.ids}
+        return {"run_id": self.run_id, **_IDS.get()}
 
 
 #: The active session; ``None`` means observability is disabled.
-_ACTIVE: Optional[ObsSession] = None
+_SESSION: ContextVar[Optional[ObsSession]] = ContextVar(
+    "repro.obs.SESSION", default=None
+)
+
+#: Ambient correlation IDs stamped onto every journal event.
+_NO_IDS: Mapping[str, str] = MappingProxyType(
+    {"slide_id": "", "attempt_id": ""}
+)
+_IDS: ContextVar[Mapping[str, str]] = ContextVar(
+    "repro.obs.IDS", default=_NO_IDS
+)
 
 #: Shared no-op context for disabled spans (nullcontext is reentrant).
 _NULL_SPAN = contextlib.nullcontext()
@@ -141,31 +151,7 @@ _NULL_SPAN = contextlib.nullcontext()
 
 def session() -> Optional[ObsSession]:
     """The active session, or ``None`` when observability is off."""
-    return _ACTIVE
-
-
-def enable(
-    *,
-    trace: bool = True,
-    metrics: bool = True,
-    journal: bool = True,
-    flight_capacity: int = 256,
-) -> ObsSession:
-    """Start a fresh session and make it the active one."""
-    global _ACTIVE
-    _ACTIVE = ObsSession(
-        trace=trace,
-        metrics=metrics,
-        journal=journal,
-        flight_capacity=flight_capacity,
-    )
-    return _ACTIVE
-
-
-def disable() -> None:
-    """Deactivate observability (instrumentation reverts to no-ops)."""
-    global _ACTIVE
-    _ACTIVE = None
+    return _SESSION.get()
 
 
 @contextlib.contextmanager
@@ -176,53 +162,48 @@ def observe(
     journal: bool = True,
     flight_capacity: int = 256,
 ) -> Iterator[ObsSession]:
-    """Scoped :func:`enable` / :func:`disable` (restores the previous)."""
-    global _ACTIVE
-    previous = _ACTIVE
+    """Activate a fresh session, with empty IDs, for the block."""
     current = ObsSession(
         trace=trace,
         metrics=metrics,
         journal=journal,
         flight_capacity=flight_capacity,
     )
-    _ACTIVE = current
-    try:
+    with installed(_SESSION, current), installed(_IDS, _NO_IDS):
         yield current
-    finally:
-        _ACTIVE = previous
 
 
 def tracer() -> Optional[Tracer]:
     """The active tracer, or ``None`` (hot paths guard on this)."""
-    s = _ACTIVE
+    s = _SESSION.get()
     return s.tracer if s is not None else None
 
 
 def metrics() -> Optional[MetricsRegistry]:
     """The active metrics registry, or ``None``."""
-    s = _ACTIVE
+    s = _SESSION.get()
     return s.metrics if s is not None else None
 
 
 def journal() -> Optional[Journal]:
     """The active journal, or ``None``."""
-    s = _ACTIVE
+    s = _SESSION.get()
     return s.journal if s is not None else None
 
 
 def flight() -> Optional[FlightRecorder]:
     """The active flight recorder, or ``None``."""
-    s = _ACTIVE
+    s = _SESSION.get()
     return s.flight if s is not None else None
 
 
 def span(name: str, *, cat: str = "host", **args):
     """A host wall-clock span, or a shared no-op context when disabled."""
-    s = _ACTIVE
+    s = _SESSION.get()
     if s is None or s.tracer is None:
         return _NULL_SPAN
     if s.journal is not None:
-        ids = s.ids
+        ids = _IDS.get()
         if ids["slide_id"]:
             args.setdefault("slide_id", ids["slide_id"])
         if ids["attempt_id"]:
@@ -231,18 +212,20 @@ def span(name: str, *, cat: str = "host", **args):
 
 
 # ---------------------------------------------------------------------------
-# Journal / correlation helpers — all no-ops (one global read) when off.
+# Journal / correlation helpers — emit, mint_id and annotate are no-ops
+# (one context read) when off.
 
 
 def emit(event: str, **fields) -> None:
     """Append one journal event with the ambient correlation IDs."""
-    s = _ACTIVE
+    s = _SESSION.get()
     if s is None or s.journal is None:
         return
+    ids = _IDS.get()
     record = s.journal.record(
         event,
-        slide_id=s.ids["slide_id"],
-        attempt_id=s.ids["attempt_id"],
+        slide_id=ids["slide_id"],
+        attempt_id=ids["attempt_id"],
         fields=fields,
     )
     if s.flight is not None:
@@ -251,30 +234,24 @@ def emit(event: str, **fields) -> None:
 
 def mint_id(kind: str) -> str:
     """Mint a sequential correlation ID, or ``""`` when disabled."""
-    s = _ACTIVE
+    s = _SESSION.get()
     if s is None or s.journal is None:
         return ""
     return s.mint_id(kind)
 
 
-@contextlib.contextmanager
-def correlate(**ids: str) -> Iterator[None]:
-    """Scope ambient correlation IDs (``slide_id=`` / ``attempt_id=``)."""
-    s = _ACTIVE
-    if s is None or s.journal is None:
-        yield
-        return
-    previous = {key: s.ids.get(key, "") for key in ids}
-    s.ids.update(ids)
-    try:
-        yield
-    finally:
-        s.ids.update(previous)
+def correlate(**ids: str) -> ContextManager[Mapping[str, str]]:
+    """Scope ambient correlation IDs (``slide_id=`` / ``attempt_id=``).
+
+    The IDs are visible to this thread or task, and to worker threads it
+    starts with ``asyncio.to_thread``; never to a sibling.
+    """
+    return installed(_IDS, {**_IDS.get(), **ids})
 
 
 def annotate(key: str, value: object) -> None:
     """Attach session context included in post-mortem bundles."""
-    s = _ACTIVE
+    s = _SESSION.get()
     if s is None or s.journal is None:
         return
     s.context[key] = value
@@ -282,7 +259,7 @@ def annotate(key: str, value: object) -> None:
 
 def flight_dump(trigger: str, **details) -> Optional[dict]:
     """Capture a post-mortem bundle from the active session, if any."""
-    s = _ACTIVE
+    s = _SESSION.get()
     if s is None or s.flight is None:
         return None
     emit("flight.dump", trigger=trigger, **details)

@@ -51,7 +51,7 @@ def _active_fault_plan() -> Optional[dict]:
     """
     from repro.gpusim import hooks
 
-    injector = hooks.faults()
+    injector = hooks.FAULTS.get()
     if injector is None:
         return None
     plan = getattr(injector, "plan", None)
@@ -72,7 +72,7 @@ def _active_memory_snapshot() -> Optional[dict]:
     """
     from repro.gpusim import hooks
 
-    tracker = hooks.memory()
+    tracker = hooks.MEMORY.get()
     if tracker is None:
         return None
     snapshot = getattr(tracker, "allocation_snapshot", None)

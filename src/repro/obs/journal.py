@@ -23,8 +23,8 @@ validates in CI.
 
 Instrumented code never imports this module directly — it calls
 :func:`repro.obs.emit` / :func:`repro.obs.correlate` /
-:func:`repro.obs.mint_id`, which are no-ops (one global read) when no
-session is active, preserving the zero-perturbation contract.
+:func:`repro.obs.mint_id`, which are no-ops (one context-variable read)
+when no session is active, preserving the zero-perturbation contract.
 """
 
 from __future__ import annotations

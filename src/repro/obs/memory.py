@@ -8,14 +8,15 @@ OOMs drive the resilience story.  This module gives it the observability
 the kernel clock already has:
 
 * a :class:`MemoryTracker` installed through the import-free
-  :mod:`repro.gpusim.hooks` registry (:func:`hooks.set_memory`) receives
+  :mod:`repro.gpusim.hooks` slot :data:`~repro.gpusim.hooks.MEMORY`
+  (by :func:`track`) receives
   every ``Device.alloc``/``free``/``free_all``/``h2d``/``d2h``/stream
   event and maintains per-device live-bytes and high-water-mark time
   series on the **modeled clock** (``device.elapsed_seconds``);
 * every allocation is tagged with a semantic **category** — one of
   :data:`CATEGORIES` — threaded from the engines via the
   :func:`alloc_scope` context manager (which sets the ambient
-  :func:`hooks.memscope` tag the device copies onto each
+  :data:`~repro.gpusim.hooks.MEMSCOPE` tag the device copies onto each
   :class:`~repro.gpusim.device.DeviceArray`);
 * the timeline is exported as Chrome-trace **counter tracks** (one per
   device, ``ph: "C"``) next to the existing kernel/memcpy span lanes
@@ -35,7 +36,7 @@ the kernel clock already has:
   :mod:`repro.obs.flight` so OOM post-mortems carry the live allocation
   table at the moment of death.
 
-With no tracker installed every device forward is one module read plus a
+With no tracker installed every device forward is one slot read plus a
 ``None`` check — the same zero-perturbation contract the sanitizer,
 fault-injection and obs layers honor, enforced differentially by
 ``tests/obs/test_identity.py``.
@@ -43,9 +44,8 @@ fault-injection and obs layers honor, enforced differentially by
 
 from __future__ import annotations
 
-import contextlib
 import json
-from typing import Dict, Iterator, List, Optional
+from typing import ContextManager, Dict, List, Optional, Tuple
 
 from repro.gpusim import hooks
 
@@ -66,27 +66,23 @@ CATEGORIES = (
 PLANNER_ERROR_THRESHOLD = 0.10
 
 
-@contextlib.contextmanager
-def alloc_scope(category: str, origin: str = "") -> Iterator[None]:
+def alloc_scope(
+    category: str, origin: str = ""
+) -> ContextManager[Tuple[str, str]]:
     """Tag device allocations made inside the block with ``category``.
 
-    Sets the ambient :func:`repro.gpusim.hooks.memscope` tag (restoring
+    Sets the ambient :data:`repro.gpusim.hooks.MEMSCOPE` tag (restoring
     the previous one on exit); :meth:`Device._register` copies it onto
     each new :class:`~repro.gpusim.device.DeviceArray`.  Safe to leave in
-    place permanently: with no tracker installed the tag is one module
-    global write and perturbs nothing.
+    place permanently: with no tracker installed the tag is one context
+    variable write and perturbs nothing.
     """
     if category not in CATEGORIES:
         raise ValueError(
             f"unknown allocation category {category!r}; "
             f"expected one of {CATEGORIES}"
         )
-    previous = hooks.memscope()
-    hooks.set_memscope((category, origin))
-    try:
-        yield
-    finally:
-        hooks.set_memscope(previous)
+    return hooks.installed(hooks.MEMSCOPE, (category, origin))
 
 
 def _new_direction() -> dict:
@@ -102,8 +98,7 @@ def _new_direction() -> dict:
 class MemoryTracker:
     """Per-device allocation timeline, watermarks and planner accuracy.
 
-    Install with :func:`track` (or :meth:`install` / :meth:`uninstall`);
-    all callbacks are read-only observers of the device, so tracked and
+    Install with :func:`track`; all callbacks are read-only observers of the device, so tracked and
     untracked runs stay bitwise identical.
     """
 
@@ -113,17 +108,6 @@ class MemoryTracker:
         self._devices: Dict[int, dict] = {}
         #: Planner predictions keyed by (engine, device index): last wins.
         self._predictions: Dict[tuple, dict] = {}
-
-    # ------------------------------------------------------------------
-    # Install / uninstall
-    # ------------------------------------------------------------------
-    def install(self) -> "MemoryTracker":
-        hooks.set_memory(self)
-        return self
-
-    def uninstall(self) -> None:
-        if hooks.memory() is self:
-            hooks.set_memory(None)
 
     # ------------------------------------------------------------------
     # Per-device state
@@ -296,7 +280,7 @@ class MemoryTracker:
             # Streams leave no allocation behind; tag the traffic with
             # the ambient scope's category (hybrid wraps its delta/
             # frontier shipping in alloc_scope("exchange")).
-            scope = hooks.memscope()
+            scope = hooks.MEMSCOPE.get()
             if scope is not None and scope[0] == "exchange":
                 state["exchange_bytes"] += int(nbytes)
                 state["exchange_seconds"] += float(seconds)
@@ -525,18 +509,14 @@ class MemoryTracker:
             fh.write("\n")
 
 
-@contextlib.contextmanager
 def track(
     *, max_events_per_device: int = 8192
-) -> Iterator[MemoryTracker]:
+) -> ContextManager[MemoryTracker]:
     """Scoped tracker install: restores the previous tracker on exit."""
-    previous = hooks.memory()
-    tracker = MemoryTracker(max_events_per_device=max_events_per_device)
-    hooks.set_memory(tracker)
-    try:
-        yield tracker
-    finally:
-        hooks.set_memory(previous)
+    return hooks.installed(
+        hooks.MEMORY,
+        MemoryTracker(max_events_per_device=max_events_per_device),
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -4,9 +4,8 @@ A full run renders as a timeline in ``chrome://tracing`` / Perfetto:
 
 * **Host spans** (engine iterations, window builds, detection stages) are
   timed on the *wall clock* and live on the ``host (wall clock)`` process
-  track.  They nest — the tracer keeps a span stack, and the exporter emits
-  Chrome "complete" (``ph: "X"``) events whose nesting Perfetto renders as
-  a flame graph.
+  track.  They nest — the exporter emits Chrome "complete" (``ph: "X"``)
+  events, and Perfetto renders their nested time ranges as a flame graph.
 * **Device spans** (kernel launches, PCIe memcpys) are timed on the
   simulator's *modeled clock* — the cumulative roofline seconds of the
   owning :class:`~repro.gpusim.device.Device` — and live on the
@@ -45,7 +44,6 @@ class Tracer:
         self._events: List[dict] = []
         self._origin = time.perf_counter()
         self._device_tids: Dict[int, bool] = {}
-        self._depth = 0
 
     # ------------------------------------------------------------------
     @property
@@ -74,11 +72,9 @@ class Tracer:
             yield
             return
         start = self._now_us()
-        self._depth += 1
         try:
             yield
         finally:
-            self._depth -= 1
             self._events.append(
                 {
                     "ph": "X",

@@ -21,8 +21,8 @@ kind           exception                  stream      recovery
 =============  =========================  ==========  ====================
 
 The :class:`FaultInjector` executes a plan.  It attaches through the
-import-free :mod:`repro.gpusim.hooks` registry (``set_faults``), so with
-no injector installed the device pays one module read plus a ``None``
+import-free :mod:`repro.gpusim.hooks` slot ``FAULTS``, so with
+no injector installed the device pays one slot read plus a ``None``
 check per event — counters, labels and timings stay bitwise identical,
 the same zero-perturbation contract the sanitizer and :mod:`repro.obs`
 honor.  Because the plan is a pure function of (seed, event sequence) and
@@ -33,9 +33,8 @@ reproducible and resume-identity testable.
 
 from __future__ import annotations
 
-import contextlib
 from dataclasses import dataclass
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import ContextManager, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -311,34 +310,20 @@ class _EventCounter:
         self.counts["launch"] += 1
 
 
-@contextlib.contextmanager
-def inject(plan: FaultPlan) -> Iterator[FaultInjector]:
+def inject(plan: FaultPlan) -> ContextManager[FaultInjector]:
     """Install ``plan`` for the duration of the block.
 
-    Nested installs are not supported — the previous injector is restored
-    on exit so enclosing scopes keep working.
+    The inner of two nested installs shadows the outer one, which is
+    restored on exit.
     """
-    injector = FaultInjector(plan)
-    previous = hooks.faults()
-    hooks.set_faults(injector)
-    try:
-        yield injector
-    finally:
-        hooks.set_faults(previous)
+    return hooks.installed(hooks.FAULTS, FaultInjector(plan))
 
 
-@contextlib.contextmanager
-def count_events() -> Iterator[_EventCounter]:
+def count_events() -> ContextManager[_EventCounter]:
     """Count alloc/transfer/launch events of the enclosed workload.
 
     Use the resulting totals as ``stream_totals`` for
     :meth:`FaultPlan.random` so seeded chaos plans always land on events
     that exist.
     """
-    counter = _EventCounter()
-    previous = hooks.faults()
-    hooks.set_faults(counter)
-    try:
-        yield counter
-    finally:
-        hooks.set_faults(previous)
+    return hooks.installed(hooks.FAULTS, _EventCounter())

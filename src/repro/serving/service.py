@@ -12,7 +12,9 @@ latency/consistency semantics:
   all come along for free.  Slides run in a worker thread
   (``overlap_slides=True``) so scoring keeps answering against the
   previous window state mid-slide; the new state is swapped in atomically
-  afterwards.
+  afterwards.  ``asyncio.to_thread`` copies the worker task's context, so
+  a slide sees the obs session and :mod:`repro.gpusim.hooks` slots (fault
+  plan, memory tracker, sanitizer) installed when :meth:`start` ran.
 
 * **Scoring path** — per-transaction score requests are admitted through
   a second bounded queue with ``put_nowait``: when the queue is full the
@@ -37,6 +39,7 @@ families, ``serve.*`` journal events, and the SLO objectives in
 from __future__ import annotations
 
 import asyncio
+import contextvars
 import time
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
@@ -192,27 +195,30 @@ def batch_labels_hash(
     ``num_slides`` slides with no DynLP planning, no warm state and no
     fault history.  The served incremental state must hash identically.
     The replay runs on :class:`~repro.baselines.cpu_serial.SerialEngine`,
-    which drives no simulated device, so an installed fault plan or
-    memory tracker never sees it: a probe neither consumes planned faults
-    nor walks the degradation ladder.  It still runs under the caller's
-    obs session, so its ``slide.*`` and ``engine.*`` events land in the
-    served journal until ambient IDs move to ``contextvars``.
+    which drives no simulated device, inside a fresh
+    :class:`contextvars.Context`: it sees no obs session, fault injector,
+    memory tracker or sanitizer of the caller.  A probe neither consumes
+    planned faults nor walks the degradation ladder, and its ``slide.*``
+    and ``engine.*`` events and minted IDs never reach the served journal.
     """
     from repro.baselines.cpu_serial import SerialEngine
 
-    detector = SlidingWindowDetector(
-        stream,
-        ClusterDetector(
-            SerialEngine(),
-            max_iterations=max_iterations,
-            max_hops=max_hops,
-        ),
-        incremental=False,
-    )
-    _, result = detector.start(start_day, window_days)
-    for _ in range(num_slides):
-        _, result = detector.slide()
-    return result.lp_result.labels_hash()
+    def replay() -> str:
+        detector = SlidingWindowDetector(
+            stream,
+            ClusterDetector(
+                SerialEngine(),
+                max_iterations=max_iterations,
+                max_hops=max_hops,
+            ),
+            incremental=False,
+        )
+        _, result = detector.start(start_day, window_days)
+        for _ in range(num_slides):
+            _, result = detector.slide()
+        return result.lp_result.labels_hash()
+
+    return contextvars.Context().run(replay)
 
 
 class ScoringService:
@@ -344,9 +350,8 @@ class ScoringService:
         """Build the initial window, run the cold detection, go live."""
         if self._state is not None:
             raise ServingError("service already started")
-        loop = asyncio.get_running_loop()
-        window, result = await loop.run_in_executor(
-            None, self.detector.start, self.start_day, self.window_days
+        window, result = await asyncio.to_thread(
+            self.detector.start, self.start_day, self.window_days
         )
         self._swap_state(window, result)
         self._workers = [
@@ -490,18 +495,12 @@ class ScoringService:
         """Feed one transaction-stream event (awaited: backpressure)."""
         await self._ingest_queue.put(event)
 
-    def _slide_sync(self) -> Tuple[WindowGraph, DetectionResult]:
-        return self.detector.slide()
-
     async def _do_slide(self, day: int) -> None:
         t0 = time.perf_counter()
-        loop = asyncio.get_running_loop()
         if self.overlap_slides:
-            window, result = await loop.run_in_executor(
-                None, self._slide_sync
-            )
+            window, result = await asyncio.to_thread(self.detector.slide)
         else:
-            window, result = self._slide_sync()
+            window, result = self.detector.slide()
         self._swap_state(window, result)
         self._slides_done += 1
         wall = time.perf_counter() - t0
@@ -524,21 +523,19 @@ class ScoringService:
             version=self.state.version,
         )
         if self.probe_every and self._slides_done % self.probe_every == 0:
-            await self._probe(loop)
+            await self._probe()
 
-    async def _probe(self, loop: asyncio.AbstractEventLoop) -> None:
+    async def _probe(self) -> None:
         """Compare the served state to a from-scratch batch replay."""
         expected_hash = self.state.labels_hash
-        reference = await loop.run_in_executor(
-            None,
-            lambda: batch_labels_hash(
-                self.stream,
-                self.start_day,
-                self.window_days,
-                self._slides_done,
-                max_iterations=self.max_iterations,
-                max_hops=self.max_hops,
-            ),
+        reference = await asyncio.to_thread(
+            batch_labels_hash,
+            self.stream,
+            self.start_day,
+            self.window_days,
+            self._slides_done,
+            max_iterations=self.max_iterations,
+            max_hops=self.max_hops,
         )
         match = reference == expected_hash
         rep = self._report

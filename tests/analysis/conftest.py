@@ -4,12 +4,12 @@ from __future__ import annotations
 
 import pytest
 
-from repro import analysis
+from repro.gpusim import hooks
 
 
 @pytest.fixture(autouse=True)
 def _no_sanitizer_leakage():
     """Every test starts and ends without an ambient sanitizer session."""
-    analysis.disable_sanitizer()
+    assert hooks.SESSION.get() is None
     yield
-    analysis.disable_sanitizer()
+    assert hooks.SESSION.get() is None

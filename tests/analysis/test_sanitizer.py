@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from repro import analysis
-from repro.gpusim import warp
+from repro.gpusim import hooks, warp
 from repro.gpusim.config import DeviceSpec
 from repro.gpusim.device import Device
 
@@ -144,13 +144,11 @@ class TestScoping:
         assert "racecheck-read-write" in rules
 
     def test_sanitize_restores_previous_session(self):
-        outer = analysis.enable_sanitizer()
-        try:
+        with analysis.sanitize() as outer:
             with analysis.sanitize() as inner:
-                assert analysis.session_sanitizer() is inner
-            assert analysis.session_sanitizer() is outer
-        finally:
-            analysis.disable_sanitizer()
+                assert hooks.SESSION.get() is inner
+            assert hooks.SESSION.get() is outer
+        assert hooks.SESSION.get() is None
 
 
 def test_report_serialization_roundtrip(tmp_path):

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro import ClassicLP, LayeredLP, SpeakerListenerLP
+from repro import ClassicLP, LayeredLP, SpeakerListenerLP, obs
 from repro.baselines import (
     LigraEngine,
     OMPEngine,
@@ -120,6 +120,30 @@ class TestLigraFrontier:
         first = result.iterations[0].seconds
         last = result.iterations[-1].seconds
         assert last < first
+
+    def test_sparse_rounds_publish_sparse_passes(self, community_graph):
+        """A sparse Ligra round is counted as one, and reports the
+        vertices and edges it actually processed."""
+        graph, _ = community_graph
+        with obs.observe() as session:
+            result = LigraEngine().run(
+                graph, ClassicLP(), max_iterations=20,
+                stop_on_convergence=False,
+            )
+        modes = [s.kernel_stats["pass_mode"] for s in result.iterations]
+        assert modes[0] == "dense" and "sparse" in modes
+        passes = {
+            e["labels"]["mode"]: e["value"]
+            for e in session.metrics.to_dict()["metrics"]
+            if e["name"] == "engine_pass_total"
+        }
+        assert passes["sparse"] == modes.count("sparse")
+        dense = result.iterations[0]
+        assert dense.frontier_size == graph.num_vertices
+        assert dense.processed_edges == graph.num_edges
+        sparse = result.iterations[modes.index("sparse")]
+        assert 0 < sparse.frontier_size < graph.num_vertices
+        assert sparse.processed_edges < graph.num_edges
 
     def test_dense_mode_for_unsafe_programs(self, community_graph):
         """LLP's global volumes force dense iterations (no sparsification

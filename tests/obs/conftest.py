@@ -9,7 +9,7 @@ from repro import obs
 
 @pytest.fixture(autouse=True)
 def _no_obs_leakage():
-    """Guarantee every test starts and ends with observability off."""
-    obs.disable()
+    """Every test starts and ends with observability off."""
+    assert obs.session() is None
     yield
-    obs.disable()
+    assert obs.session() is None

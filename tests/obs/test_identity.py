@@ -104,13 +104,11 @@ def test_disabled_span_is_shared_nullcontext():
 
 
 def test_observe_restores_previous_session():
-    outer = obs.enable()
-    try:
+    with obs.observe() as outer:
         with obs.observe() as inner:
             assert obs.session() is inner
         assert obs.session() is outer
-    finally:
-        obs.disable()
+    assert obs.session() is None
 
 
 @pytest.mark.parametrize(

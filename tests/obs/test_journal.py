@@ -8,7 +8,9 @@ detector write — including the metric-consistency contract across slide
 rollback + replay.
 """
 
+import asyncio
 import json
+import threading
 
 import numpy as np
 import pytest
@@ -184,6 +186,32 @@ class TestCorrelation:
         args = spans[0]["args"]
         assert args["slide_id"] == "slide-0001"
         assert args["attempt_id"] == "a-1"
+
+
+    def test_ids_never_cross_threads(self):
+        """IDs a worker thread scopes stay in that thread: an event the
+        loop thread emits meanwhile carries none of them."""
+        entered, emitted = threading.Event(), threading.Event()
+
+        def worker():
+            with obs.correlate(slide_id="slide-x"):
+                entered.set()
+                assert emitted.wait(10)
+                obs.emit("worker")
+
+        async def main():
+            task = asyncio.create_task(asyncio.to_thread(worker))
+            await asyncio.sleep(0)  # let the task hand off to its thread
+            assert entered.wait(10)
+            obs.emit("loop")
+            emitted.set()
+            await task
+
+        with obs.observe() as session:
+            asyncio.run(main())
+        events = {e["event"]: e for e in session.journal.events}
+        assert events["loop"]["slide_id"] == ""
+        assert events["worker"]["slide_id"] == "slide-x"
 
 
 @pytest.mark.parametrize("engine", sorted(ENGINES))

@@ -25,7 +25,6 @@ from repro.obs.memory import (
     CATEGORIES,
     MEMORY_SCHEMA_VERSION,
     PLANNER_ERROR_THRESHOLD,
-    MemoryTracker,
     alloc_scope,
     render_memory_report,
     track,
@@ -109,19 +108,16 @@ class TestScopesAndFrees:
     def test_alloc_scope_nests_and_restores(self):
         with alloc_scope("csr", "outer"):
             with alloc_scope("labels", "inner"):
-                assert hooks.memscope() == ("labels", "inner")
-            assert hooks.memscope() == ("csr", "outer")
-        assert hooks.memscope() is None
+                assert hooks.MEMSCOPE.get() == ("labels", "inner")
+            assert hooks.MEMSCOPE.get() == ("csr", "outer")
+        assert hooks.MEMSCOPE.get() is None
 
     def test_track_restores_previous_tracker(self):
-        outer = MemoryTracker().install()
-        try:
+        with track() as outer:
             with track() as inner:
-                assert hooks.memory() is inner
-            assert hooks.memory() is outer
-        finally:
-            outer.uninstall()
-        assert hooks.memory() is None
+                assert hooks.MEMORY.get() is inner
+            assert hooks.MEMORY.get() is outer
+        assert hooks.MEMORY.get() is None
 
     def test_free_all_reports_released_bytes(self, tracker):
         device = Device()

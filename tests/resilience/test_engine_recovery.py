@@ -76,13 +76,8 @@ class LaunchLog:
 
 
 def launch_names(run):
-    log = LaunchLog()
-    previous = hooks.faults()
-    hooks.set_faults(log)
-    try:
+    with hooks.installed(hooks.FAULTS, LaunchLog()) as log:
         run()
-    finally:
-        hooks.set_faults(previous)
     return log.names
 
 

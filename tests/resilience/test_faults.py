@@ -121,10 +121,10 @@ class TestInjection:
         assert injector.events == []
 
     def test_installation_is_scoped(self, two_cliques_graph):
-        assert hooks.faults() is None
+        assert hooks.FAULTS.get() is None
         with inject(FaultPlan.parse("kernel@1")):
-            assert hooks.faults() is not None
-        assert hooks.faults() is None
+            assert hooks.FAULTS.get() is not None
+        assert hooks.FAULTS.get() is None
 
     def test_count_events_sees_all_streams(self, community_graph):
         graph, _ = community_graph

@@ -20,7 +20,7 @@ from repro.pipeline.transactions import (
     TransactionStream,
     TransactionStreamConfig,
 )
-from repro.resilience import FaultPlan, inject
+from repro.resilience import FaultPlan, count_events, inject
 from repro.serving import (
     DayEnd,
     LoadGenConfig,
@@ -253,6 +253,22 @@ class TestIdentity:
         )
 
 
+    def test_probes_add_no_journal_events(self, stream):
+        """The oracle replays in a fresh context: a probed run journals
+        exactly the slides an unprobed one does."""
+        generator = LoadGenerator(stream, LoadGenConfig(qps=60.0, seed=2))
+        events = generator.schedule(6, 3)
+        starts = {}
+        for probe_every in (0, 1):
+            service = make_service(stream, probe_every=probe_every)
+            with obs.observe() as session:
+                report = run(service.serve(events))
+            starts[probe_every] = len(
+                session.journal.events_for(event="slide.start")
+            )
+        assert report.probes == 3
+        assert starts[1] == starts[0] == 4
+
     def test_probes_consume_no_planned_faults(self, stream):
         """The identity oracle drives no simulated device: under a plan
         that OOMs every allocation, a probed run fires exactly the faults
@@ -269,6 +285,26 @@ class TestIdentity:
         assert report.probe_mismatches == 0
         assert fired[0] > 0
         assert fired[1] == fired[0]
+
+
+class TestCorrelation:
+    def test_serve_events_carry_no_slide_ids(self, stream):
+        """Slides correlate their events in the worker thread; the loop
+        thread's ``serve.*`` events, emitted mid-slide under overload,
+        never pick up a ``slide_id``."""
+        generator = LoadGenerator(stream, LoadGenConfig(qps=3000.0, seed=4))
+        events = generator.schedule(6, 3)
+        service = make_service(stream, queue_capacity=1)
+        with obs.observe() as session:
+            run(service.serve(events))
+        serve = [
+            e for e in session.journal.events
+            if e["event"].startswith("serve.")
+        ]
+        assert any(e["event"] == "serve.overload" for e in serve)
+        assert [e for e in serve if e["slide_id"]] == []
+        slides = session.journal.events_for(event="slide.start")
+        assert all(e["slide_id"] for e in slides)
 
 
 class TestSoak:
@@ -316,11 +352,18 @@ class TestSoak:
         )
 
     def test_slide_failure_keeps_serving_old_state(self, stream):
+        # The workers see the fault plan of the task that starts them, so
+        # the plan is installed before start() and spares the cold start's
+        # allocations: every allocation after them OOMs.
+        with count_events() as cold:
+            make_service(stream, degrade=False).detector.start(0, 6)
+        plan = FaultPlan.parse(f"oom@{cold.counts['alloc'] + 1}x999999")
+
         async def main():
             service = make_service(stream, degrade=False, window_days=6)
-            await service.start()
-            version0 = service.state.version
-            with inject(FaultPlan.parse("oom@1x999999")):
+            with inject(plan):
+                await service.start()
+                version0 = service.state.version
                 await service.ingest(TxnBatch(t=0.1, day=6, count=50))
                 await service.ingest(DayEnd(t=1.0, day=6))
                 await service._ingest_queue.join()
