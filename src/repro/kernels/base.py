@@ -2,15 +2,19 @@
 
 from __future__ import annotations
 
+import contextlib
 from dataclasses import dataclass, field
-from typing import Callable, Optional, Tuple
+from typing import Callable, Iterator, Optional, Tuple
 
 import numpy as np
 
+from repro import obs
 from repro.core.api import LPProgram
 from repro.errors import KernelError
 from repro.graph.csr import CSRGraph
-from repro.gpusim.device import Device
+from repro.gpusim import hooks
+from repro.gpusim.counters import PerfCounters
+from repro.gpusim.device import Device, DeviceArray
 from repro.gpusim.memory import CountedLoad
 from repro.kernels.mfl import EdgeBatch, expand_edges
 
@@ -85,7 +89,36 @@ SMEM_WARP = StrategyConfig(
 GLP_DEFAULT = StrategyConfig()
 
 
+#: What an MFL kernel returns: ``(best_labels, best_scores)`` aligned
+#: with its sorted vertex array.
+KernelOutput = Tuple[np.ndarray, np.ndarray]
+
+
 @dataclass(frozen=True)
+class KeptLaunch:
+    """The last execution of a scheduled launch, kept for replay.
+
+    Everything the launch body changed, keyed by the labels it read: if
+    no label the launch reads differs from ``labels``, re-running the
+    body would add exactly ``counters``, write exactly ``stats`` and
+    return exactly ``outputs`` (see :func:`replay_or_keep`).
+    """
+
+    #: The V-length label array of the pass that executed the launch
+    #: (shared by every launch that pass executed).
+    labels: np.ndarray
+    #: Counter delta of the body (integers only; the launch's own
+    #: ``kernel_launches`` increment is not part of it).
+    counters: PerfCounters
+    #: The ``KernelContext.stats`` entries the body wrote.
+    stats: dict
+    outputs: KernelOutput
+    #: ``(shape, dtype, origin)`` of each scratch allocation the body
+    #: made and freed, in order.
+    scratch: Tuple[tuple, ...]
+
+
+@dataclass
 class LaunchSchedule:
     """The label-independent half of one MFL kernel launch.
 
@@ -98,6 +131,8 @@ class LaunchSchedule:
     label-dependent half over it; dense passes keep the schedule for the
     next iteration (see :meth:`KernelContext.schedule`).  It is simulator
     bookkeeping, not device state: nothing here is a device allocation.
+    Only :attr:`kept`, the label-dependent record of the last execution,
+    is ever reassigned.
     """
 
     #: The sorted vertex subset the schedule was built for.
@@ -117,6 +152,8 @@ class LaunchSchedule:
     active_lanes: Optional[np.ndarray] = None
     #: Block-per-vertex only: each edge's position within its vertex's list.
     within: Optional[np.ndarray] = None
+    #: The launch's last execution, kept by :func:`replay_or_keep`.
+    kept: Optional[KeptLaunch] = None
 
     @property
     def label_gather(self) -> CountedLoad:
@@ -148,6 +185,14 @@ class KernelContext:
     #: Launch schedules kept across the dense passes of one engine attempt,
     #: keyed by kernel name; ``None`` builds every schedule for one launch.
     schedules: Optional[dict] = None
+    #: This pass's copy of ``current_labels``, made by the first launch
+    #: the pass executes and shared by the records of every launch it
+    #: executes.
+    _labels_copy: Optional[np.ndarray] = field(
+        default=None, init=False, repr=False
+    )
+    #: Scratch allocations of the body in flight, when it is being kept.
+    _scratch: Optional[list] = field(default=None, init=False, repr=False)
 
     def schedule(
         self,
@@ -167,6 +212,98 @@ class KernelContext:
                 "launch processes"
             )
         return schedule
+
+    def scratch(self, shape, dtype, origin: str) -> DeviceArray:
+        """Allocate launch-local scratch memory tagged ``origin``.
+
+        The caller frees it before its launch ends.  A kept record notes
+        the allocation, so a replay makes the same allocation events.
+        """
+        with obs.alloc_scope("scratch", origin):
+            handle = self.device.alloc(shape, dtype)
+        if self._scratch is not None:
+            self._scratch.append((shape, dtype, origin))
+        return handle
+
+
+class LaunchReplay:
+    """One launch's replay-or-keep state, yielded by :func:`replay_or_keep`."""
+
+    def __init__(self) -> None:
+        #: The kept outputs when the launch was replayed, else ``None``.
+        self.replayed: Optional[KernelOutput] = None
+        self.outputs: Optional[KernelOutput] = None
+
+    def keep(self, outputs: KernelOutput) -> KernelOutput:
+        """Note the executed body's outputs; returns them."""
+        self.outputs = outputs
+        return outputs
+
+
+@contextlib.contextmanager
+def replay_or_keep(
+    ctx: KernelContext, schedule: LaunchSchedule
+) -> Iterator[LaunchReplay]:
+    """Inside a kernel's launch: replay its kept record, or keep this one.
+
+    Replay applies on dense passes (kept schedules) of ``frontier_safe``
+    programs, whose kernel results depend on nothing but the labels read,
+    while no sanitizer listens to the launch.  There, a launch whose
+    reads are unchanged since its kept execution adds the kept counter
+    delta, makes the same scratch allocations, restores the stats entries
+    and yields with ``replayed`` set: the kernel returns it instead of
+    running its body.  Any other launch runs its body, which ends with
+    ``return launch.keep(outputs)``; where replay applies, that execution
+    becomes the schedule's kept record.  The enclosing ``device.launch``
+    then derives timing, timeline record, trace span and fault events
+    from the same counters in the same order either way.
+    """
+    device = ctx.device
+    launch = LaunchReplay()
+    if (
+        ctx.schedules is None
+        or not ctx.program.frontier_safe
+        or hooks.ACTIVE.get() is not None
+    ):
+        yield launch
+        return
+    kept = schedule.kept
+    if kept is not None:
+        # A launch reads its neighbors' labels and, through a vertex with
+        # no edges, its own vertices' labels.
+        changed = kept.labels != ctx.current_labels
+        if changed.any() and (
+            changed[schedule.vertices].any()
+            or changed[schedule.batch.neighbor_ids].any()
+        ):
+            kept = None
+    if kept is not None:
+        device.counters.add(kept.counters)
+        for shape, dtype, origin in kept.scratch:
+            device.free(ctx.scratch(shape, dtype, origin))
+        ctx.stats.update(kept.stats)
+        launch.replayed = kept.outputs
+        yield launch
+        return
+
+    before = device.counters.copy()
+    outer_stats, ctx.stats = ctx.stats, {}
+    ctx._scratch = []
+    try:
+        yield launch
+    finally:
+        stats, ctx.stats = ctx.stats, outer_stats
+        outer_stats.update(stats)
+        scratch, ctx._scratch = ctx._scratch, None
+    if ctx._labels_copy is None:
+        ctx._labels_copy = ctx.current_labels.copy()
+    schedule.kept = KeptLaunch(
+        labels=ctx._labels_copy,
+        counters=device.counters.delta_since(before),
+        stats=stats,
+        outputs=launch.outputs,
+        scratch=tuple(scratch),
+    )
 
 
 # ----------------------------------------------------------------------

@@ -20,12 +20,12 @@ from typing import Tuple
 
 import numpy as np
 
-from repro import obs
 from repro.kernels import mfl
 from repro.kernels.base import (
     ELEM_BYTES,
     KernelContext,
     account_label_writeback,
+    replay_or_keep,
     warp_per_vertex_schedule,
 )
 from repro.sketch.globalhash import GlobalHashTable, combine_keys
@@ -62,11 +62,15 @@ def run_global_hash(
     )
     batch = schedule.batch
     warp_steps = schedule.warp_steps
-    groups = mfl.aggregate_label_frequencies(
-        ctx.program, batch, ctx.current_labels
-    )
 
-    with device.launch("global-hash"):
+    with device.launch("global-hash"), replay_or_keep(
+        ctx, schedule
+    ) as launch:
+        if launch.replayed is not None:
+            return launch.replayed
+        groups = mfl.aggregate_label_frequencies(
+            ctx.program, batch, ctx.current_labels
+        )
         schedule.charge(device)
 
         if batch.num_edges:
@@ -75,8 +79,9 @@ def run_global_hash(
             table = GlobalHashTable.for_expected_keys(
                 max(1, groups.num_groups), load_factor=0.5
             )
-            with obs.alloc_scope("scratch", "kernels.ghash.table"):
-                table_mem = device.alloc((table.capacity,), np.int64)
+            table_mem = ctx.scratch(
+                (table.capacity,), np.int64, "kernels.ghash.table"
+            )
             try:
                 keys = combine_keys(batch.vertex_ids, groups.edge_labels)
                 slots, probes = table.add_batch(keys)
@@ -108,9 +113,9 @@ def run_global_hash(
             finally:
                 device.free(table_mem)
 
-        best_labels, best_scores = mfl.select_best_labels(
-            ctx.program, groups, vertices, ctx.current_labels
-        )
         account_label_writeback(ctx, vertices.size)
-
-    return best_labels, best_scores
+        return launch.keep(
+            mfl.select_best_labels(
+                ctx.program, groups, vertices, ctx.current_labels
+            )
+        )

@@ -31,6 +31,7 @@ from repro.kernels.base import (
     LaunchSchedule,
     account_label_writeback,
     common_reads,
+    replay_or_keep,
     warp_steps_block_per_vertex,
 )
 from repro.gpusim.block import BlockConfig, block_reduce_max_cost
@@ -130,12 +131,16 @@ def run_smem_cms_ht(
     schedule = ctx.schedule("smem-cms-ht", vertices, _block_per_vertex_schedule)
     batch = schedule.batch
     warp_steps = schedule.warp_steps
-    groups = mfl.aggregate_label_frequencies(
-        ctx.program, batch, ctx.current_labels
-    )
-    edge_labels = groups.edge_labels
 
-    with device.launch("smem-cms-ht"):
+    with device.launch("smem-cms-ht"), replay_or_keep(
+        ctx, schedule
+    ) as launch:
+        if launch.replayed is not None:
+            return launch.replayed
+        groups = mfl.aggregate_label_frequencies(
+            ctx.program, batch, ctx.current_labels
+        )
+        edge_labels = groups.edge_labels
         schedule.charge(device)
 
         # ------------------------------------------------------------------
@@ -269,12 +274,12 @@ def run_smem_cms_ht(
             device.counters,
         )
 
-        best_labels, best_scores = mfl.select_best_labels(
-            ctx.program, groups, vertices, ctx.current_labels
-        )
         account_label_writeback(ctx, vertices.size)
-
-    ctx.stats["smem_high_vertices"] = int(vertices.size)
-    ctx.stats["smem_fallback_vertices"] = int(fallback_mask.sum())
-    ctx.stats["smem_overflow_groups"] = int((~resident).sum())
-    return best_labels, best_scores
+        ctx.stats["smem_high_vertices"] = int(vertices.size)
+        ctx.stats["smem_fallback_vertices"] = int(fallback_mask.sum())
+        ctx.stats["smem_overflow_groups"] = int((~resident).sum())
+        return launch.keep(
+            mfl.select_best_labels(
+                ctx.program, groups, vertices, ctx.current_labels
+            )
+        )

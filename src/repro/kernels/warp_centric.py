@@ -36,6 +36,7 @@ from repro.kernels.base import (
     LaunchSchedule,
     account_label_writeback,
     common_reads,
+    replay_or_keep,
     warp_per_vertex_schedule,
     warp_steps_one_thread_per_vertex,
 )
@@ -146,11 +147,15 @@ def run_warp_multi(
 
     schedule = ctx.schedule("warp-multi", vertices, _warp_multi_schedule)
     batch = schedule.batch
-    groups = mfl.aggregate_label_frequencies(
-        ctx.program, batch, ctx.current_labels
-    )
 
-    with device.launch("warp-multi"):
+    with device.launch("warp-multi"), replay_or_keep(
+        ctx, schedule
+    ) as launch:
+        if launch.replayed is not None:
+            return launch.replayed
+        groups = mfl.aggregate_label_frequencies(
+            ctx.program, batch, ctx.current_labels
+        )
         schedule.charge(device)
 
         if schedule.warps_launched:
@@ -176,12 +181,12 @@ def run_warp_multi(
             ctx.stats["warp_multi_popc_edges"] = int(lane_freq[active].sum())
             ctx.stats["warp_multi_warps"] = schedule.warps_launched
 
-        best_labels, best_scores = mfl.select_best_labels(
-            ctx.program, groups, vertices, ctx.current_labels
-        )
         account_label_writeback(ctx, vertices.size)
-
-    return best_labels, best_scores
+        return launch.keep(
+            mfl.select_best_labels(
+                ctx.program, groups, vertices, ctx.current_labels
+            )
+        )
 
 
 def _thread_per_vertex_schedule(
@@ -225,18 +230,22 @@ def run_thread_per_vertex(
     schedule = ctx.schedule(
         "thread-per-vertex", vertices, _thread_per_vertex_schedule
     )
-    groups = mfl.aggregate_label_frequencies(
-        ctx.program, schedule.batch, ctx.current_labels
-    )
 
-    with device.launch("thread-per-vertex"):
-        schedule.charge(device)
-        best_labels, best_scores = mfl.select_best_labels(
-            ctx.program, groups, vertices, ctx.current_labels
+    with device.launch("thread-per-vertex"), replay_or_keep(
+        ctx, schedule
+    ) as launch:
+        if launch.replayed is not None:
+            return launch.replayed
+        groups = mfl.aggregate_label_frequencies(
+            ctx.program, schedule.batch, ctx.current_labels
         )
+        schedule.charge(device)
         account_label_writeback(ctx, vertices.size)
-
-    return best_labels, best_scores
+        return launch.keep(
+            mfl.select_best_labels(
+                ctx.program, groups, vertices, ctx.current_labels
+            )
+        )
 
 
 def run_warp_shared_ht(
@@ -263,11 +272,15 @@ def run_warp_shared_ht(
             loop_instructions=_SHARED_HT_INSTRUCTIONS,
         ),
     )
-    groups = mfl.aggregate_label_frequencies(
-        ctx.program, schedule.batch, ctx.current_labels
-    )
 
-    with device.launch("warp-shared-ht"):
+    with device.launch("warp-shared-ht"), replay_or_keep(
+        ctx, schedule
+    ) as launch:
+        if launch.replayed is not None:
+            return launch.replayed
+        groups = mfl.aggregate_label_frequencies(
+            ctx.program, schedule.batch, ctx.current_labels
+        )
         schedule.charge(device)
 
         mixed = groups.edge_labels.astype(np.uint64) * np.uint64(
@@ -282,9 +295,9 @@ def run_warp_shared_ht(
             size=config.ht_capacity * 2,
         )
 
-        best_labels, best_scores = mfl.select_best_labels(
-            ctx.program, groups, vertices, ctx.current_labels
-        )
         account_label_writeback(ctx, vertices.size)
-
-    return best_labels, best_scores
+        return launch.keep(
+            mfl.select_best_labels(
+                ctx.program, groups, vertices, ctx.current_labels
+            )
+        )

@@ -1,7 +1,7 @@
 """Declarative SLOs with multi-window burn-rate alerting.
 
 A TOML spec declares the service objectives the serving path must hold —
-slide end-to-end p95/p99 on the modeled clock, the incremental-fallback
+slide end-to-end p95/p99 on the host wall clock, the incremental-fallback
 rate, the degradation rate, the recovery budget — and
 :func:`evaluate_slos` judges them against a
 :class:`~repro.obs.metrics.MetricsRegistry` (live) or its JSON export.

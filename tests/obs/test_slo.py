@@ -243,6 +243,39 @@ class TestEvaluation:
         assert "p90" in dumped.detail
 
 
+class TestRepoSlideObjectives:
+    """The committed slide SLOs judge wall-clock slide latency."""
+
+    SLIDE_SLOS = ("slide-e2e-p95", "slide-e2e-p99")
+
+    def _verdicts(self, slide_seconds):
+        spec = Path(__file__).resolve().parents[2] / "benchmarks"
+        slos = [
+            slo
+            for slo in load_slo_spec(str(spec / "serving_slo.toml"))
+            if slo.name in self.SLIDE_SLOS
+        ]
+        registry = MetricsRegistry()
+        for seconds in slide_seconds:
+            registry.observe("pipeline_serving_latency_seconds", seconds)
+        return {v.slo.name: v for v in evaluate_slos(slos, registry).verdicts}
+
+    def test_one_stalled_slide_breaches(self):
+        # A cold start and three slides, the last stalled 3 s.
+        verdicts = self._verdicts([0.24, 0.025, 0.023, 3.0])
+        assert sorted(verdicts) == sorted(self.SLIDE_SLOS)
+        for verdict in verdicts.values():
+            assert not verdict.missing
+            assert verdict.as_dict()["ok"] is False
+
+    def test_undelayed_smoke_passes(self):
+        # The CI smokes' measured shape: cold start ~0.24 s, slides ~25 ms.
+        verdicts = self._verdicts([0.24, 0.025, 0.023, 0.024])
+        for verdict in verdicts.values():
+            assert not verdict.missing
+            assert verdict.as_dict()["ok"] is True
+
+
 class TestAnalysisCurrency:
     def test_report_source_and_rules(self):
         registry = _registry(
