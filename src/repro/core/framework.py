@@ -1,6 +1,7 @@
 """The GLP engine: bulk-synchronous iteration over a device-resident graph.
 
-Each iteration runs the three components of Figure 2:
+Each iteration runs the three components of Figure 2 (the shared
+:func:`~repro.core.device_round.device_round` over the whole graph):
 
 1. **PickLabel** — ``program.pick_labels`` decides the label every vertex
    exposes this round (a trivial map kernel on the device);
@@ -38,13 +39,20 @@ from typing import Optional
 import numpy as np
 
 from repro import obs
+from repro.core.api import LPProgram
+from repro.core.device_round import (
+    DeviceShare,
+    StepClock,
+    device_round,
+    update_labels,
+)
 from repro.core.driver import BSPEngine, BSPRun, drive
-from repro.core.results import IterationStats
 from repro.errors import ConvergenceError
+from repro.graph.csr import CSRGraph
 from repro.gpusim import hooks
 from repro.gpusim.config import TITAN_V, DeviceSpec
 from repro.gpusim.device import Device
-from repro.kernels.base import ELEM_BYTES, GLP_DEFAULT, KernelContext, StrategyConfig
+from repro.kernels.base import ELEM_BYTES, GLP_DEFAULT, StrategyConfig
 from repro.kernels.frontier import (
     FrontierConfig,
     next_frontier,
@@ -53,7 +61,6 @@ from repro.kernels.frontier import (
     use_sparse_pass,
 )
 from repro.kernels.propagate import propagate_pass, segmented_sort_pass
-from repro.kernels.scheduler import bin_vertices_by_degree
 
 
 class GLPEngine(BSPEngine):
@@ -116,8 +123,6 @@ class GLPEngine(BSPEngine):
         # correctly.
         tracker = hooks.MEMORY.get()
         if tracker is not None:
-            from repro.core.hybrid import device_footprint
-
             tracker.note_prediction(
                 self.name,
                 device,
@@ -148,82 +153,35 @@ class GLPEngine(BSPEngine):
                 run.carry["frontier_vertices"] = prune_pinned(
                     run.carry["frontier_vertices"], run.pinned
                 )
-            # Degrees are static, so the dense pass's degree bins and
-            # kernel launch schedules are memoized across iterations
-            # (frontier passes bin their subset per round).  A sparse pass
-            # drops the schedules: they are only worth their memory while
-            # dense passes repeat.
-            full_bins = None
-            dense_schedules = {}
+            share = DeviceShare(device, graph, self.config)
+            pass_fn = (
+                segmented_sort_pass
+                if self.pass_kind == "gsort"
+                else propagate_pass
+            )
 
             def step(iteration: int):
-                nonlocal full_bins
                 labels = run.labels
-                frontier_vertices = run.carry["frontier_vertices"]
-                kernel_before = device.kernel_seconds
-                transfer_before = device.transfer_seconds
-                counters_before = device.counters.copy()
-
-                # PickLabel: a map over the vertex array.
-                with device.launch("pick-label"):
-                    picked = program.pick_labels(graph, labels, iteration)
-                    self._account_map_kernel(graph.num_vertices)
-
+                frontier = run.carry["frontier_vertices"]
+                clock = StepClock(self.devices)
+                picked = program.pick_labels(graph, labels, iteration)
                 sparse = (
                     track_frontier
-                    and frontier_vertices is not None
+                    and frontier is not None
                     and use_sparse_pass(
-                        self.frontier,
-                        frontier_vertices.size,
-                        graph.num_vertices,
+                        self.frontier, frontier.size, graph.num_vertices
                     )
                 )
-                if sparse:
-                    dense_schedules.clear()
-                ctx = KernelContext(
-                    device=device,
-                    graph=graph,
-                    current_labels=picked,
-                    program=program,
-                    config=self.config,
-                    schedules=None if sparse else dense_schedules,
+                result = device_round(
+                    share,
+                    program,
+                    picked,
+                    frontier if sparse else None,
+                    pass_fn=pass_fn,
                 )
-                if sparse:
-                    if self.pass_kind == "gsort":
-                        result = segmented_sort_pass(ctx, frontier_vertices)
-                    else:
-                        result = propagate_pass(ctx, frontier_vertices)
-                else:
-                    if full_bins is None:
-                        full_bins = bin_vertices_by_degree(
-                            graph,
-                            low_threshold=self.config.low_threshold,
-                            high_threshold=self.config.high_threshold,
-                        )
-                    if self.pass_kind == "gsort":
-                        result = segmented_sort_pass(ctx, bins=full_bins)
-                    else:
-                        result = propagate_pass(ctx, bins=full_bins)
-
-                # UpdateVertex: another map kernel over the processed set.
-                with device.launch("update-vertex"):
-                    new_labels = program.update_vertices(
-                        result.vertices,
-                        result.best_labels,
-                        result.best_scores,
-                        labels,
-                    )
-                    self._account_map_kernel(result.vertices.size)
+                new_labels = update_labels(program, [result], labels)
                 changed_mask = new_labels != labels
-
-                kernel_stats = dict(result.stats)
-                kernel_stats["pass_mode"] = "sparse" if sparse else "dense"
                 if track_frontier:
-                    kernel_stats["frontier_fraction"] = (
-                        result.vertices.size / graph.num_vertices
-                        if graph.num_vertices
-                        else 0.0
-                    )
                     # Advance the frontier for the next round (the expand
                     # + compact kernels are timed on the device).
                     run.carry["frontier_vertices"] = prune_pinned(
@@ -234,31 +192,16 @@ class GLPEngine(BSPEngine):
                         ),
                         run.pinned,
                     )
-
-                stats = IterationStats(
-                    iteration=iteration,
-                    seconds=(
-                        device.kernel_seconds
-                        - kernel_before
-                        + device.transfer_seconds
-                        - transfer_before
-                    ),
-                    kernel_seconds=device.kernel_seconds - kernel_before,
-                    transfer_seconds=(
-                        device.transfer_seconds - transfer_before
-                    ),
+                stats = clock.stats(
+                    iteration,
+                    graph,
+                    [result],
                     changed_vertices=int(np.count_nonzero(changed_mask)),
-                    counters=device.counters.delta_since(counters_before),
-                    kernel_stats=kernel_stats,
-                    frontier_size=int(result.vertices.size),
-                    processed_edges=int(
-                        graph.degrees[result.vertices].sum()
-                        if result.vertices.size
-                        else 0
-                    ),
+                    sparse=sparse,
+                    track_frontier=track_frontier,
                 )
                 return new_labels, stats, {
-                    "pass_mode": kernel_stats["pass_mode"]
+                    "pass_mode": stats.kernel_stats["pass_mode"]
                 }
 
             yield step
@@ -270,15 +213,25 @@ class GLPEngine(BSPEngine):
         """The residual frontier: the carry after the last round."""
         return run.carry["frontier_vertices"] if run.track_frontier else None
 
-    # ------------------------------------------------------------------
-    def _account_map_kernel(self, num_vertices: int) -> None:
-        """Cost of a trivial per-vertex map (PickLabel / UpdateVertex)."""
-        device = self.device
-        # Same offset read and written by the same (synthetic) lane, which
-        # the sanitizer recognizes as a thread updating its own slot.
-        device.memory.load_sequential(num_vertices, ELEM_BYTES, array="labels")
-        device.memory.store_sequential(num_vertices, ELEM_BYTES, array="labels")
-        warps = -(-num_vertices // device.spec.warp_size)
-        device.counters.warp_instructions += warps * 2
-        device.counters.active_lane_sum += num_vertices * 2
-        device.counters.warps_launched += warps
+
+def device_footprint(
+    graph: CSRGraph,
+    program: Optional[LPProgram] = None,
+    *,
+    frontier: "FrontierConfig | str" = "dense",
+) -> int:
+    """Bytes :class:`GLPEngine` actually makes device-resident for ``graph``.
+
+    Mirrors the engine's residency list: the CSR arrays plus *both*
+    double-buffered label arrays, and — when frontier execution applies
+    (mode enabled and the program ``frontier_safe``) — the reversed CSR
+    and the one-byte-per-vertex frontier bitmap.
+    """
+    mode = resolve_frontier(frontier)
+    needed = graph.nbytes + 2 * graph.num_vertices * ELEM_BYTES
+    if mode.enabled and (program is None or program.frontier_safe):
+        # The reversed CSR has the same offsets/indices volume as the
+        # forward CSR (weights are not uploaded for it).
+        needed += graph.offsets.nbytes + graph.indices.nbytes
+        needed += graph.num_vertices  # uint8 frontier bitmap
+    return needed

@@ -10,11 +10,16 @@ Design — persistent residency + CPU co-processing:
 * The CSR is split into contiguous vertex chunks; as many as fit stay
   **resident** on the device for the whole run (the CSR is read-only, so
   they upload exactly once).
+* The device charges the shared device round over the resident range
+  (:func:`~repro.core.device_round.device_round`: the pick-label and
+  update-vertex map launches and the MFL pass), exactly as ``GLPEngine``
+  charges it over the whole graph.
 * The overflow chunks are **not** streamed every iteration — PCIe at
   12 GB/s can never keep up with HBM2 kernels, so re-shipping gigabytes per
   iteration would drown the GPU.  Instead the host CPU co-processes the
   overflow vertices with the same MFL semantics, in parallel with the GPU's
-  kernels (the "CPU-GPU heterogeneous mode").
+  kernels (the "CPU-GPU heterogeneous mode").  The CPU also computes the
+  frontier, so no frontier kernel runs on the device.
 * For ``frontier_safe`` programs (classic and seeded LP) the CPU share is
   frontier-sparsified: an overflow vertex is recomputed only when one of
   its in-neighbors changed label, which after the first iterations shrinks
@@ -36,8 +41,14 @@ import numpy as np
 from repro import obs
 from repro.baselines.cpumodel import CPUSpec, XEON_W2133
 from repro.core.api import LPProgram
+from repro.core.device_round import (
+    DeviceShare,
+    StepClock,
+    device_round,
+    update_labels,
+)
 from repro.core.driver import BSPEngine, BSPRun, drive
-from repro.core.results import IterationStats
+from repro.core.framework import GLPEngine, device_footprint
 from repro.errors import DeviceFault, OutOfDeviceMemoryError
 from repro.graph.csr import CSRGraph
 from repro.graph.partition import VertexPartition, partition_by_edge_count
@@ -45,7 +56,7 @@ from repro.gpusim import hooks
 from repro.gpusim.config import TITAN_V, DeviceSpec
 from repro.gpusim.device import Device
 from repro.kernels import mfl
-from repro.kernels.base import ELEM_BYTES, GLP_DEFAULT, KernelContext, StrategyConfig
+from repro.kernels.base import ELEM_BYTES, GLP_DEFAULT, StrategyConfig
 from repro.kernels.frontier import (
     FrontierConfig,
     changed_out_neighbors,
@@ -53,10 +64,7 @@ from repro.kernels.frontier import (
     resolve_frontier,
     use_sparse_pass,
 )
-from repro.kernels.mfl import NO_SCORE
-from repro.kernels.propagate import propagate_pass
-from repro.kernels.scheduler import bin_vertices_by_degree
-from repro.types import LABEL_DTYPE, WEIGHT_DTYPE
+from repro.kernels.propagate import PassResult
 
 
 #: Fraction of device memory a run may fill: :func:`run_auto` admits the
@@ -194,24 +202,13 @@ class HybridEngine(BSPEngine):
         track_frontier = run.track_frontier
         _, resident, overflow = self._plan(graph)
         overflow_start = overflow[0].start if overflow else graph.num_vertices
-        resident_vertices = (
-            np.arange(resident[0].start, resident[-1].stop, dtype=np.int64)
-            if resident
-            else np.empty(0, dtype=np.int64)
-        )
-        # Degrees are static: bin the resident range once for dense rounds
-        # and keep their kernel launch schedules until a sparse round.
-        resident_bins = (
-            bin_vertices_by_degree(
-                graph,
-                low_threshold=self.config.low_threshold,
-                high_threshold=self.config.high_threshold,
-                vertices=resident_vertices,
+        share = (
+            DeviceShare(
+                device, graph, self.config, resident[0].start, resident[-1].stop
             )
-            if resident_vertices.size
+            if resident
             else None
         )
-        dense_schedules = {}
 
         # One-time residency uploads (window setup, not per-iteration
         # time).  The planner's own estimate — the always-resident label
@@ -254,10 +251,7 @@ class HybridEngine(BSPEngine):
                 initial = (
                     run.carry["initial_frontier"] if iteration == 1 else None
                 )
-                kernel_before = device.kernel_seconds
-                transfer_before = device.transfer_seconds
-                counters_before = device.counters.copy()
-
+                clock = StepClock(self.devices)
                 picked = program.pick_labels(graph, labels, iteration)
 
                 # Host -> device: ship the labels that changed last round
@@ -276,112 +270,92 @@ class HybridEngine(BSPEngine):
                     with obs.alloc_scope("exchange", "hybrid.label-deltas"):
                         device.stream_to_device(2 * up_count * 4)
 
-                best_labels = picked.astype(LABEL_DTYPE, copy=True)
-                best_scores = np.full(
-                    graph.num_vertices, NO_SCORE, dtype=WEIGHT_DTYPE
-                )
-
                 # The active frontier (sorted unique out-neighbors of last
                 # round's changed vertices — or the caller's affected set
                 # at an incremental iteration 1), computed once per
                 # iteration on the host and sliced by both execution
                 # shares.
                 frontier_candidates = None
-                incremental_start = initial is not None
                 if program.frontier_safe and iteration > 1:
                     frontier_candidates = changed_out_neighbors(
                         graph, prev_changed
                     )
-                elif incremental_start:
+                elif initial is not None:
                     frontier_candidates = initial
                 if frontier_candidates is not None:
                     frontier_candidates = prune_pinned(
                         frontier_candidates, run.pinned
                     )
 
-                # GPU: resident vertex ranges through the normal kernels —
+                # GPU: the resident range through the shared device round,
                 # sparsified to the active frontier when tracking is on.
-                processed_vertices = 0
-                processed_edges = 0
+                results = []
                 sparse = False
-                if resident:
-                    vertices = resident_vertices
+                if share is not None:
+                    frontier_slice = None
                     if track_frontier and frontier_candidates is not None:
-                        frontier_slice = self._resident_frontier(
-                            frontier_candidates, resident_vertices
-                        )
+                        frontier_slice = frontier_candidates[
+                            : np.searchsorted(
+                                frontier_candidates, overflow_start
+                            )
+                        ]
                         sparse = use_sparse_pass(
                             self.frontier,
                             frontier_slice.size,
-                            resident_vertices.size,
+                            share.num_vertices,
                         )
-                        if sparse:
-                            vertices = frontier_slice
-                            # The host computed the frontier; ship the ids
-                            # of the resident slice to the device.
-                            if vertices.size:
-                                with obs.alloc_scope(
-                                    "exchange", "hybrid.frontier-ids"
-                                ):
-                                    device.stream_to_device(
-                                        vertices.size * 8
-                                    )
-                    if sparse:
-                        dense_schedules.clear()
-                    if vertices.size:
-                        ctx = KernelContext(
-                            device=device,
-                            graph=graph,
-                            current_labels=picked,
-                            program=program,
-                            config=self.config,
-                            schedules=None if sparse else dense_schedules,
+                    if sparse and frontier_slice.size:
+                        # The host computed the frontier; ship the ids of
+                        # the resident slice to the device.
+                        with obs.alloc_scope(
+                            "exchange", "hybrid.frontier-ids"
+                        ):
+                            device.stream_to_device(frontier_slice.size * 8)
+                    results.append(
+                        device_round(
+                            share,
+                            program,
+                            picked,
+                            frontier_slice if sparse else None,
                         )
-                        if sparse:
-                            result = propagate_pass(ctx, vertices)
-                        else:
-                            result = propagate_pass(
-                                ctx, vertices, bins=resident_bins
-                            )
-                        best_labels[result.vertices] = result.best_labels
-                        best_scores[result.vertices] = result.best_scores
-                        processed_vertices += int(result.vertices.size)
-                        processed_edges += int(
-                            graph.degrees[result.vertices].sum()
-                        )
+                    )
 
                 # CPU: overflow ranges, frontier-sparsified when safe.
                 cpu_seconds = 0.0
                 if overflow:
-                    active = self._overflow_active(
-                        graph,
-                        program,
-                        frontier_candidates,
-                        overflow_start,
-                        iteration,
-                        incremental=incremental_start,
+                    # Without a frontier (a dense round, or a program that
+                    # is not frontier-safe) the CPU sweeps its whole range.
+                    active = (
+                        np.arange(
+                            overflow_start, graph.num_vertices, dtype=np.int64
+                        )
+                        if frontier_candidates is None
+                        else frontier_candidates[
+                            np.searchsorted(frontier_candidates, overflow_start) :
+                        ]
+                    )
+                    batch = mfl.expand_edges(graph, active)
+                    groups = mfl.aggregate_label_frequencies(
+                        program, batch, picked
+                    )
+                    results.append(
+                        PassResult(
+                            active,
+                            *mfl.select_best_labels(
+                                program, groups, active, picked
+                            ),
+                            bins=None,
+                            stats={},
+                        )
                     )
                     if active.size:
-                        batch = mfl.expand_edges(graph, active)
-                        groups = mfl.aggregate_label_frequencies(
-                            program, batch, picked
-                        )
-                        o_labels, o_scores = mfl.select_best_labels(
-                            program, groups, active, picked
-                        )
-                        best_labels[active] = o_labels
-                        best_scores[active] = o_scores
                         cpu_seconds = (
                             batch.num_edges / self._cpu_rate()
                             + self.cpu_spec.sync_seconds
                         )
-                        processed_vertices += int(active.size)
-                        processed_edges += int(batch.num_edges)
-
-                all_vertices = np.arange(graph.num_vertices, dtype=np.int64)
-                new_labels = program.update_vertices(
-                    all_vertices, best_labels, best_scores, labels
-                )
+                # Without a resident range the overflow is every vertex,
+                # so ``results`` is never empty.
+                new_labels = update_labels(program, results, labels)
                 changed_mask = new_labels != labels
                 changed = int(np.count_nonzero(changed_mask))
                 run.carry["prev_changed"] = np.flatnonzero(changed_mask)
@@ -392,24 +366,15 @@ class HybridEngine(BSPEngine):
                     with obs.alloc_scope("exchange", "hybrid.label-deltas"):
                         device.stream_to_host(2 * changed * 4)
 
-                kernel_delta = device.kernel_seconds - kernel_before
-                transfer_delta = device.transfer_seconds - transfer_before
-                stats = IterationStats(
-                    iteration=iteration,
-                    # GPU and CPU shares run concurrently.
-                    seconds=max(kernel_delta, cpu_seconds) + transfer_delta,
-                    kernel_seconds=kernel_delta,
-                    transfer_seconds=transfer_delta,
+                stats = clock.stats(
+                    iteration,
+                    graph,
+                    results,
                     changed_vertices=changed,
-                    counters=device.counters.delta_since(counters_before),
-                    kernel_stats={
-                        "pass_mode": "sparse" if sparse else "dense",
-                        # Kept per-iteration (not a running total) so a
-                        # fault-retried iteration never double-counts.
-                        "cpu_seconds": cpu_seconds,
-                    },
-                    frontier_size=processed_vertices,
-                    processed_edges=processed_edges,
+                    sparse=sparse,
+                    track_frontier=track_frontier,
+                    # GPU and CPU shares run concurrently.
+                    cpu_seconds=cpu_seconds,
                 )
                 m = obs.metrics()
                 if m is not None:
@@ -467,72 +432,6 @@ class HybridEngine(BSPEngine):
             changed_out_neighbors(graph, run.carry["prev_changed"]),
             run.pinned,
         )
-
-    # ------------------------------------------------------------------
-    def _overflow_active(
-        self,
-        graph: CSRGraph,
-        program: LPProgram,
-        frontier_candidates: Optional[np.ndarray],
-        overflow_start: int,
-        iteration: int,
-        *,
-        incremental: bool = False,
-    ) -> np.ndarray:
-        """Overflow vertices the CPU must recompute this iteration.
-
-        ``incremental`` marks a seeded sparse iteration 1: the caller's
-        affected set replaces the mandatory dense first pass, so the CPU
-        share sparsifies from the start instead of sweeping the whole
-        overflow range.
-        """
-        if (iteration == 1 and not incremental) or not program.frontier_safe:
-            return np.arange(
-                overflow_start, graph.num_vertices, dtype=np.int64
-            )
-        if frontier_candidates is None:
-            return np.empty(0, dtype=np.int64)
-        return frontier_candidates[frontier_candidates >= overflow_start]
-
-    # ------------------------------------------------------------------
-    @staticmethod
-    def _resident_frontier(
-        frontier_candidates: Optional[np.ndarray],
-        resident_vertices: np.ndarray,
-    ) -> np.ndarray:
-        """Resident-range slice of the active frontier."""
-        if frontier_candidates is None or frontier_candidates.size == 0:
-            return np.empty(0, dtype=np.int64)
-        lo = np.searchsorted(
-            frontier_candidates, resident_vertices[0], side="left"
-        )
-        hi = np.searchsorted(
-            frontier_candidates, resident_vertices[-1], side="right"
-        )
-        return frontier_candidates[lo:hi]
-
-
-def device_footprint(
-    graph: CSRGraph,
-    program: Optional[LPProgram] = None,
-    *,
-    frontier: "FrontierConfig | str" = "dense",
-) -> int:
-    """Bytes :class:`GLPEngine` actually makes device-resident for ``graph``.
-
-    Mirrors the engine's residency list: the CSR arrays plus *both*
-    double-buffered label arrays, and — when frontier execution applies
-    (mode enabled and the program ``frontier_safe``) — the reversed CSR
-    and the one-byte-per-vertex frontier bitmap.
-    """
-    mode = resolve_frontier(frontier)
-    needed = graph.nbytes + 2 * graph.num_vertices * ELEM_BYTES
-    if mode.enabled and (program is None or program.frontier_safe):
-        # The reversed CSR has the same offsets/indices volume as the
-        # forward CSR (weights are not uploaded for it).
-        needed += graph.offsets.nbytes + graph.indices.nbytes
-        needed += graph.num_vertices  # uint8 frontier bitmap
-    return needed
 
 
 def _record_degradation(source: str, target: str, fault: Exception) -> None:
@@ -650,8 +549,6 @@ def run_auto(
     Returns ``(result, engine)`` — the engine exposes mode-specific stats
     (e.g. ``HybridEngine.last_stats``).
     """
-    from repro.core.framework import GLPEngine
-
     hybrid = functools.partial(
         HybridEngine, spec=spec, config=config, frontier=frontier
     )

@@ -1,11 +1,13 @@
 """Multi-GPU execution (Section 5.4's two-GPU experiment).
 
 Vertices are split into near-equal-edge contiguous ranges, one per device.
-Each iteration every device runs the degree-binned kernels over its own
-range in parallel; the iteration's kernel time is the *maximum* over
-devices (bulk-synchronous).  Afterwards the devices exchange the labels
-their partitions updated (peer-to-peer over PCIe), which is the scaling tax
-that turns 2 GPUs into ~1.8x rather than 2x.
+Each iteration every device runs the shared device round
+(:func:`~repro.core.device_round.device_round`) over its own range in
+parallel; the iteration's kernel time is the *maximum* over devices of the
+whole round — map, MFL and frontier kernels included (bulk-synchronous).
+Afterwards the devices exchange the labels their partitions updated
+(peer-to-peer over PCIe), which is the scaling tax that keeps 2 GPUs below
+2x.
 
 **Frontier execution.**  With ``frontier="frontier"``/``"auto"`` and a
 ``frontier_safe`` program, each device tracks its *own partition's* active
@@ -25,28 +27,28 @@ from typing import List, Optional
 import numpy as np
 
 from repro import obs
+from repro.core.device_round import (
+    DeviceShare,
+    StepClock,
+    device_round,
+    update_labels,
+)
 from repro.core.driver import BSPEngine, BSPRun, drive
-from repro.core.results import IterationStats
 from repro.errors import ConvergenceError
 from repro.graph.partition import balanced_edge_partition
 from repro.gpusim import hooks
 from repro.gpusim.config import TITAN_V, DeviceSpec
-from repro.gpusim.counters import PerfCounters
 from repro.gpusim.device import Device
 from repro.gpusim.timing import transfer_time
-from repro.kernels.base import ELEM_BYTES, GLP_DEFAULT, KernelContext, StrategyConfig
+from repro.kernels.base import ELEM_BYTES, GLP_DEFAULT, StrategyConfig
 from repro.kernels.frontier import (
     FrontierConfig,
-    expand_frontier,
     compact_frontier,
+    expand_frontier,
     prune_pinned,
     resolve_frontier,
     use_sparse_pass,
 )
-from repro.kernels.mfl import NO_SCORE
-from repro.kernels.propagate import propagate_pass
-from repro.kernels.scheduler import bin_vertices_by_degree
-from repro.types import LABEL_DTYPE, WEIGHT_DTYPE
 
 
 class MultiGPUEngine(BSPEngine):
@@ -97,24 +99,10 @@ class MultiGPUEngine(BSPEngine):
         track_frontier = run.track_frontier
         reversed_graph = graph.reversed() if track_frontier else None
 
-        # Per-partition vertex ranges, their memoized degree bins and the
-        # kernel launch schedules kept until a sparse round (degrees are
-        # static, so dense rounds never re-bin or re-schedule).
-        part_vertices = [
-            np.arange(part.start, part.stop, dtype=np.int64) for part in parts
+        shares = [
+            DeviceShare(device, graph, self.config, part.start, part.stop)
+            for device, part in zip(self.devices, parts)
         ]
-        part_bins = [
-            bin_vertices_by_degree(
-                graph,
-                low_threshold=self.config.low_threshold,
-                high_threshold=self.config.high_threshold,
-                vertices=vertices,
-            )
-            if vertices.size
-            else None
-            for vertices in part_vertices
-        ]
-        part_schedules = [{} for _ in parts]
         # Incremental start: split the caller's affected set by vertex
         # ownership so iteration 1 runs sparse on every device.  From then
         # on ``part_frontiers`` carries the split, and a restore re-seeds
@@ -135,14 +123,8 @@ class MultiGPUEngine(BSPEngine):
         def step(iteration: int):
             labels = run.labels
             part_frontiers = run.carry["part_frontiers"]
+            clock = StepClock(self.devices)
             picked = program.pick_labels(graph, labels, iteration)
-            best_labels = picked.astype(LABEL_DTYPE, copy=True)
-            best_scores = np.full(
-                graph.num_vertices, NO_SCORE, dtype=WEIGHT_DTYPE
-            )
-            device_seconds = []
-            counters_total = PerfCounters()
-
             sparse = (
                 track_frontier
                 and part_frontiers is not None
@@ -152,134 +134,69 @@ class MultiGPUEngine(BSPEngine):
                     graph.num_vertices,
                 )
             )
-
-            processed_vertices = 0
-            processed_edges = 0
-            for i, (device, part) in enumerate(zip(self.devices, parts)):
-                kernel_before = device.kernel_seconds
-                counters_before = device.counters.copy()
-                vertices = part_frontiers[i] if sparse else part_vertices[i]
-                if sparse:
-                    part_schedules[i].clear()
-                if vertices.size:
-                    ctx = KernelContext(
-                        device=device,
-                        graph=graph,
-                        current_labels=picked,
-                        program=program,
-                        config=self.config,
-                        schedules=None if sparse else part_schedules[i],
-                    )
-                    if sparse:
-                        result = propagate_pass(ctx, vertices)
-                    else:
-                        result = propagate_pass(
-                            ctx, vertices, bins=part_bins[i]
-                        )
-                    best_labels[result.vertices] = result.best_labels
-                    best_scores[result.vertices] = result.best_scores
-                    processed_vertices += int(result.vertices.size)
-                    processed_edges += int(
-                        graph.degrees[result.vertices].sum()
-                    )
-                device_seconds.append(device.kernel_seconds - kernel_before)
-                counters_total.add(
-                    device.counters.delta_since(counters_before)
+            results = [
+                device_round(
+                    share, program, picked, part_frontiers[i] if sparse else None
                 )
-
-            processed = (
-                np.concatenate(part_frontiers)
-                if sparse
-                else np.arange(graph.num_vertices, dtype=np.int64)
-            )
-            new_labels = program.update_vertices(
-                processed, best_labels[processed], best_scores[processed], labels
-            )
+                for i, share in enumerate(shares)
+            ]
+            new_labels = update_labels(program, results, labels)
 
             # Label exchange: each device broadcasts the *changed* labels
             # of its partition to the peers ((id, label) pairs over PCIe
             # peer copies; peers upload concurrently, so the per-iteration
             # cost is the busiest device's share).
-            changed_mask = new_labels != labels
-            exchange_seconds = 0.0
-            exchange_bytes = 0
-            if self.num_gpus > 1:
-                per_part_changed = [
-                    int(np.count_nonzero(changed_mask[part.start : part.stop]))
-                    for part in parts
-                ]
-                max_changed = max(per_part_changed) if per_part_changed else 0
-                exchange_seconds = transfer_time(
-                    max_changed * 8, self.devices[0].spec
-                ) * (self.num_gpus - 1)
-                exchange_bytes += (
-                    sum(per_part_changed) * 8 * (self.num_gpus - 1)
-                )
+            changed = np.flatnonzero(new_labels != labels)
+            peers = self.num_gpus - 1
+            spec = self.devices[0].spec
+            per_part_changed = [changed[_owned(changed, p)].size for p in parts]
+            exchange_seconds = transfer_time(max(per_part_changed) * 8, spec)
+            exchange_seconds *= peers
+            exchange_bytes = sum(per_part_changed) * 8 * peers
 
             # Frontier advance: each device expands its own changed range
-            # and ships remote frontier candidates to the owning peer —
-            # counted as additional inter-GPU traffic.
+            # and ships the candidates other partitions own to those peers
+            # — counted as additional inter-GPU traffic.
             if track_frontier:
-                part_frontiers = []
-                remote_candidate_counts = []
-                boundaries = np.array(
-                    [part.start for part in parts] + [graph.num_vertices],
-                    dtype=np.int64,
-                )
-                incoming: List[List[np.ndarray]] = [
-                    [] for _ in range(self.num_gpus)
+                candidates = [
+                    expand_frontier(
+                        share.device, reversed_graph, changed[_owned(changed, p)]
+                    )
+                    for share, p in zip(shares, parts)
                 ]
-                for i, (device, part) in enumerate(zip(self.devices, parts)):
-                    local_changed = np.flatnonzero(
-                        changed_mask[part.start : part.stop]
-                    ) + part.start
-                    candidates = expand_frontier(
-                        device, reversed_graph, local_changed
-                    )
-                    owners = (
-                        np.searchsorted(boundaries, candidates, side="right")
-                        - 1
-                    )
-                    remote = candidates[owners != i]
-                    remote_candidate_counts.append(int(remote.size))
-                    for j in range(self.num_gpus):
-                        chunk = candidates[owners == j]
-                        if chunk.size:
-                            incoming[j].append(chunk)
-                if self.num_gpus > 1 and remote_candidate_counts:
+                remote = [
+                    c.size - c[_owned(c, p)].size
+                    for c, p in zip(candidates, parts)
+                ]
+                if peers:
                     exchange_seconds += transfer_time(
-                        max(remote_candidate_counts) * ELEM_BYTES,
-                        self.devices[0].spec,
-                    ) * (self.num_gpus - 1)
-                    exchange_bytes += (
-                        sum(remote_candidate_counts) * ELEM_BYTES
-                    )
-                for i, device in enumerate(self.devices):
-                    merged = (
-                        np.unique(np.concatenate(incoming[i]))
-                        if incoming[i]
-                        else np.empty(0, dtype=np.int64)
-                    )
-                    part_frontiers.append(
-                        prune_pinned(
-                            compact_frontier(
-                                device, graph.num_vertices, merged
+                        max(remote) * ELEM_BYTES, spec
+                    ) * peers
+                    exchange_bytes += sum(remote) * ELEM_BYTES
+                run.carry["part_frontiers"] = [
+                    prune_pinned(
+                        compact_frontier(
+                            share.device,
+                            graph.num_vertices,
+                            np.unique(
+                                np.concatenate(
+                                    [c[_owned(c, p)] for c in candidates]
+                                )
                             ),
-                            run.pinned,
-                        )
+                        ),
+                        run.pinned,
                     )
-                run.carry["part_frontiers"] = part_frontiers
+                    for share, p in zip(shares, parts)
+                ]
 
-            stats = IterationStats(
-                iteration=iteration,
-                seconds=max(device_seconds) + exchange_seconds,
-                kernel_seconds=max(device_seconds),
-                transfer_seconds=exchange_seconds,
-                changed_vertices=int(np.count_nonzero(changed_mask)),
-                counters=counters_total,
-                kernel_stats={"pass_mode": "sparse" if sparse else "dense"},
-                frontier_size=processed_vertices,
-                processed_edges=processed_edges,
+            stats = clock.stats(
+                iteration,
+                graph,
+                results,
+                changed_vertices=int(changed.size),
+                sparse=sparse,
+                track_frontier=track_frontier,
+                exchange_seconds=exchange_seconds,
             )
             # The exchange is modeled straight on the transfer clock (no
             # DeviceArray ever exists), so the memory tracker is told
@@ -312,3 +229,8 @@ class MultiGPUEngine(BSPEngine):
         if not run.track_frontier or part_frontiers is None:
             return None
         return np.unique(np.concatenate(part_frontiers))
+
+
+def _owned(ids: np.ndarray, part) -> slice:
+    """The slice of sorted vertex ``ids`` that ``part`` owns."""
+    return slice(*np.searchsorted(ids, (part.start, part.stop)))

@@ -2,7 +2,7 @@
 watermark profiler.
 
 Device memory is the load-bearing resource of the whole reproduction —
-:func:`repro.core.hybrid.device_footprint` decides the GPU→hybrid→CPU
+:func:`repro.core.framework.device_footprint` decides the GPU→hybrid→CPU
 degradation ladder, hybrid spilling is charged against it, and injected
 OOMs drive the resilience story.  This module gives it the observability
 the kernel clock already has:

@@ -221,14 +221,14 @@ class TestResidencyAndConfig:
 
 class TestDegreeBinsCaching:
     def test_dense_run_bins_once(self, monkeypatch):
-        import repro.core.framework as framework
+        import repro.core.device_round as device_round
         import repro.kernels.propagate as propagate
 
-        calls = {"framework": 0, "propagate": 0}
-        real = framework.bin_vertices_by_degree
+        calls = {"round": 0, "propagate": 0}
+        real = device_round.bin_vertices_by_degree
 
-        def counting_framework(*args, **kwargs):
-            calls["framework"] += 1
+        def counting_round(*args, **kwargs):
+            calls["round"] += 1
             return real(*args, **kwargs)
 
         def counting_propagate(*args, **kwargs):
@@ -236,7 +236,7 @@ class TestDegreeBinsCaching:
             return real(*args, **kwargs)
 
         monkeypatch.setattr(
-            framework, "bin_vertices_by_degree", counting_framework
+            device_round, "bin_vertices_by_degree", counting_round
         )
         monkeypatch.setattr(
             propagate, "bin_vertices_by_degree", counting_propagate
@@ -247,7 +247,7 @@ class TestDegreeBinsCaching:
         )
         # One full-graph binning for the whole run; the per-iteration
         # passes reuse it instead of re-binning.
-        assert calls["framework"] == 1
+        assert calls["round"] == 1
         assert calls["propagate"] == 0
 
 
