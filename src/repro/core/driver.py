@@ -87,7 +87,7 @@ class BSPRun:
     carry: Dict[str, object]
     #: Frontier execution applies (mode enabled, program frontier-safe).
     track_frontier: bool
-    #: The program's pinned vertices (sorted unique), or ``None``.
+    #: |V| bool mask of the program's pinned vertices, or ``None``.
     pinned: Optional[np.ndarray] = None
     #: The iteration about to run (the restore point after a fault).
     iteration: int = 1
@@ -107,24 +107,25 @@ class BSPRun:
 def _resolve_pinned(
     program: LPProgram, graph: CSRGraph
 ) -> Optional[np.ndarray]:
-    """The program's pinned-vertex set as sorted unique int64 (or None).
+    """The program's pinned vertices as a |V| bool mask (or None when it
+    pins none).
 
-    Built through a |V| bool mask, so ids are range-checked first: a
-    negative id would silently index the mask from its end.
+    Ids are range-checked first: a negative id would silently index the
+    mask from its end.
     """
     pinned = program.pinned_vertices(graph)
     if pinned is None:
         return None
     pinned = np.asarray(pinned, dtype=np.int64)
-    if pinned.size and (
-        pinned.min() < 0 or pinned.max() >= graph.num_vertices
-    ):
+    if pinned.size == 0:
+        return None
+    if pinned.min() < 0 or pinned.max() >= graph.num_vertices:
         raise ProgramError(
             f"pinned vertex ids must be in [0, {graph.num_vertices})"
         )
     mask = np.zeros(graph.num_vertices, dtype=bool)
     mask[pinned] = True
-    return np.flatnonzero(mask)
+    return mask
 
 
 def _coerce_warm_labels(

@@ -134,17 +134,17 @@ def coerce_initial_frontier(
 def prune_pinned(
     frontier: np.ndarray, pinned: "np.ndarray | None"
 ) -> np.ndarray:
-    """Drop pinned vertices from a sparse frontier.
+    """Drop pinned vertices from a sparse frontier, in O(frontier).
 
-    ``pinned`` is the program's :meth:`~repro.core.api.LPProgram.
-    pinned_vertices` set (sorted unique) — vertices whose update is a
-    guaranteed no-op, so excluding them from the processing set preserves
-    every label and the frontier trajectory while skipping their (often
+    ``pinned`` is a |V| bool mask of the program's :meth:`~repro.core.api.
+    LPProgram.pinned_vertices` — vertices whose update is a guaranteed
+    no-op, so excluding them from the processing set preserves every
+    label and the frontier trajectory while skipping their (often
     hub-sized) neighbor streams.
     """
-    if pinned is None or pinned.size == 0 or frontier.size == 0:
+    if pinned is None or frontier.size == 0:
         return frontier
-    return frontier[~np.isin(frontier, pinned, assume_unique=True)]
+    return frontier[~pinned[frontier]]
 
 
 def changed_out_neighbors(graph: CSRGraph, changed) -> np.ndarray:

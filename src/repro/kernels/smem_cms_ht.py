@@ -35,6 +35,7 @@ from repro.kernels.base import (
     warp_steps_block_per_vertex,
 )
 from repro.gpusim.block import BlockConfig, block_reduce_max_cost
+from repro.pairsort import pair_order
 from repro.sketch.countmin import CountMinSketch
 from repro.sketch.globalhash import GlobalHashTable, combine_keys
 from repro.types import WEIGHT_DTYPE
@@ -155,7 +156,7 @@ def run_smem_cms_ht(
         )
         group_first_arrival = np.minimum.reduceat(sorted_within, group_starts)
 
-        arrival_order = np.lexsort((group_first_arrival, groups.vertex_ids))
+        arrival_order = pair_order(groups.vertex_ids, group_first_arrival)
         ordered_vertices = groups.vertex_ids[arrival_order]
         vertex_starts = np.flatnonzero(
             np.concatenate(([True], ordered_vertices[1:] != ordered_vertices[:-1]))

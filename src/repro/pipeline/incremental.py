@@ -22,7 +22,6 @@ reprocessed.
 
 from __future__ import annotations
 
-import dataclasses
 import time
 from typing import Mapping, Optional, Set, Tuple, Union
 
@@ -40,10 +39,13 @@ from repro.pipeline.detector import ClusterDetector, DetectionResult
 from repro.pipeline.dynlp import (
     IncrementalPlan,
     WindowDiff,
-    compute_window_diff,
     full_plan,
     plan_slide,
 )
+# Not called here any more (``slide()`` reads its diff off the fold, and
+# the tests keep this as its oracle): re-exported because the e2e
+# benchmark's tracer wraps ``compute_window_diff`` in this module by name.
+from repro.pipeline.dynlp import compute_window_diff  # noqa: F401
 from repro.pipeline.seeds import SeedStore
 from repro.pipeline.transactions import TransactionStream
 from repro.pipeline.window import (
@@ -60,10 +62,13 @@ class IncrementalWindowBuilder:
     """Maintain a sliding window's interaction counts day by day.
 
     The per-(user, product) counts are kept as parallel sorted arrays
-    (packed int64 keys + float64 counts); folding a day in or out is one
-    ``np.unique`` aggregation of that day and a sorted merge instead of a
-    Python loop over individual transactions.  The arrays are read-only
-    and every fold replaces them, so snapshots share them safely.
+    (packed int64 keys + float64 counts), beside the number of window
+    pairs of every product id.  Every change to the window, one day or a
+    whole slide, is one fold of a sorted batch of count deltas: one
+    binary search into the pair table and one rebuild of the arrays
+    instead of a Python loop over individual transactions.  The arrays
+    are read-only and every fold replaces them, so snapshots share them
+    safely.
     """
 
     def __init__(self, stream: TransactionStream) -> None:
@@ -78,8 +83,13 @@ class IncrementalWindowBuilder:
                 f"int64 pair keys (max {MAX_PACKED_USERS})"
             )
         self.stream = stream
-        self._pair_keys = np.empty(0, dtype=np.int64)
-        self._pair_counts = np.empty(0, dtype=np.float64)
+        self._pair_keys = _frozen(np.empty(0, dtype=np.int64))
+        self._pair_counts = _frozen(np.empty(0, dtype=np.float64))
+        #: Window pairs per product id, over the stream's product universe:
+        #: the product degrees :func:`window_from_pairs` lays out.
+        self._product_counts = _frozen(
+            np.zeros(stream.config.num_products, dtype=np.int64)
+        )
         self._days: Set[int] = set()
         #: The edge diff of the most recent :meth:`slide`.
         self.last_diff: Optional[WindowDiff] = None
@@ -95,27 +105,20 @@ class IncrementalWindowBuilder:
         """Distinct (user, product) pairs with non-zero weight."""
         return int(self._pair_keys.size)
 
-    def add_day(self, day: int) -> np.ndarray:
-        """Fold one day's transactions into the window.
-
-        Returns the day's distinct pair keys, sorted.
-        """
+    def add_day(self, day: int) -> None:
+        """Fold one day's transactions into the window."""
         if day in self._days:
             raise PipelineError(f"day {day} already in the window")
-        day_keys = self._apply(day, +1.0)
+        self._fold(*self._day_pairs(day))
         self._days.add(day)
-        return day_keys
 
-    def retire_day(self, day: int) -> np.ndarray:
-        """Remove one day's transactions from the window.
-
-        Returns the day's distinct pair keys, sorted.
-        """
+    def retire_day(self, day: int) -> None:
+        """Remove one day's transactions from the window."""
         if day not in self._days:
             raise PipelineError(f"day {day} not in the window")
-        day_keys = self._apply(day, -1.0)
+        keys, counts = self._day_pairs(day)
+        self._fold(keys, -counts)
         self._days.remove(day)
-        return day_keys
 
     def slide(self) -> WindowDiff:
         """Advance the window by one day (retire oldest, add next).
@@ -131,42 +134,37 @@ class IncrementalWindowBuilder:
         newest = max(self._days)
         if newest + 1 >= self.stream.config.num_days:
             raise PipelineError("stream exhausted")
-        # ``_apply`` replaces the arrays rather than mutating them, so the
-        # pre-slide references stay valid for diffing.
-        before_keys = self._pair_keys
-        before_counts = self._pair_counts
-        # Only pairs of the retired or the added day can change, so the
-        # diff reads just those rows of the two tables.  Both days' keys
-        # are sorted, so a stable sort merges them in linear time (numpy
-        # 2's ``union1d`` hashes instead, over ten times slower here).
-        touched = np.concatenate(
-            [self.retire_day(oldest), self.add_day(newest + 1)]
-        )
-        touched.sort(kind="stable")
-        distinct = np.ones(touched.size, dtype=bool)
-        np.not_equal(touched[1:], touched[:-1], out=distinct[1:])
-        touched = touched[distinct]
-        diff = compute_window_diff(
-            *_rows(before_keys, before_counts, touched),
-            *_rows(self._pair_keys, self._pair_counts, touched),
-        )
-        diff = dataclasses.replace(
-            diff,
-            num_pairs_before=int(before_keys.size),
-            num_pairs_after=int(self._pair_keys.size),
-        )
+        # Only pairs of the retired or the added day can change: merge the
+        # two days into one sorted batch of net deltas and fold it once.
+        # Both days' keys are sorted, so a stable sort merges them in
+        # linear time, the retired day's copy of a shared key first.
+        retired_keys, retired_counts = self._day_pairs(oldest)
+        added_keys, added_counts = self._day_pairs(newest + 1)
+        keys = np.concatenate([retired_keys, added_keys])
+        deltas = np.concatenate([-retired_counts, added_counts])
+        order = np.argsort(keys, kind="stable")
+        keys, deltas = keys[order], deltas[order]
+        first = np.ones(keys.size, dtype=bool)
+        np.not_equal(keys[1:], keys[:-1], out=first[1:])
+        if not first.all():
+            starts = np.flatnonzero(first)
+            keys, deltas = keys[starts], np.add.reduceat(deltas, starts)
+        diff = self._fold(keys, deltas)
+        self._days.remove(oldest)
+        self._days.add(newest + 1)
         self.last_diff = diff
         return diff
 
     def snapshot(self) -> dict:
         """Capture the window state so a failed slide can be rolled back.
 
-        The pair arrays are never written in place, so the snapshot holds
+        The arrays are never written in place, so the snapshot holds
         references, not copies.
         """
         return {
             "pair_keys": self._pair_keys,
             "pair_counts": self._pair_counts,
+            "product_counts": self._product_counts,
             "days": set(self._days),
             "last_diff": self.last_diff,
         }
@@ -175,43 +173,79 @@ class IncrementalWindowBuilder:
         """Reset the window to a :meth:`snapshot`."""
         self._pair_keys = snapshot["pair_keys"]
         self._pair_counts = snapshot["pair_counts"]
+        self._product_counts = snapshot["product_counts"]
         self._days = set(snapshot["days"])
         self.last_diff = snapshot["last_diff"]
 
-    def _apply(self, day: int, sign: float) -> np.ndarray:
-        """Fold one day's transactions in (+1) or out (-1), vectorized.
-
-        Aggregates the day to unique (user, product) pairs with
-        ``np.unique``, merges them into the sorted running arrays by binary
-        search, and drops pairs whose count retires to zero — the exact
-        semantics of the old per-transaction dict loop (counts are sums of
-        ±1.0, which float64 represents exactly).  The merge builds new
-        arrays and never writes to the current ones.  Returns the day's
-        distinct pair keys, sorted.
-        """
+    def _day_pairs(self, day: int) -> Tuple[np.ndarray, np.ndarray]:
+        """One day's distinct pair keys (sorted) and float64 counts."""
         transactions = self.stream.window_transactions(day, 1)
-        if transactions.size == 0:
-            return np.empty(0, dtype=np.int64)
-        day_keys, day_counts = np.unique(
+        keys, counts = np.unique(
             pack_pairs(transactions["user"], transactions["product"]),
             return_counts=True,
         )
-        day_counts = sign * day_counts
+        return keys, counts.astype(np.float64)
 
-        positions, found = _locate(self._pair_keys, day_keys)
-        counts = self._pair_counts.copy()
-        counts[positions[found]] += day_counts[found]
-        new = ~found
-        keys = np.insert(self._pair_keys, positions[new], day_keys[new])
-        counts = np.insert(counts, positions[new], day_counts[new])
-        keep = counts > 0.0
-        if not keep.all():
-            keys, counts = keys[keep], counts[keep]
-        keys.setflags(write=False)
-        counts.setflags(write=False)
-        self._pair_keys = keys
-        self._pair_counts = counts
-        return day_keys
+    def _fold(self, keys: np.ndarray, deltas: np.ndarray) -> WindowDiff:
+        """Add net count ``deltas`` to the sorted unique pair ``keys``.
+
+        One binary search aligns the keys with the pair table, so the
+        before and after counts of every touched pair sit side by side;
+        pairs whose count falls to zero leave the table.  Counts are sums
+        of ±1.0, which float64 represents exactly.  The table and the
+        product counts are rebuilt once, into new arrays.  Returns the
+        diff of the fold (untouched pairs cannot change).
+        """
+        table_keys, table_counts = self._pair_keys, self._pair_counts
+        positions = np.searchsorted(table_keys, keys)
+        found = np.zeros(keys.size, dtype=bool)
+        inside = positions < table_keys.size
+        found[inside] = table_keys[positions[inside]] == keys[inside]
+        before = np.zeros(keys.size, dtype=np.float64)
+        before[found] = table_counts[positions[found]]
+        after = before + deltas
+        live = after > 0.0
+        added = live & ~found
+        removed = found & ~live
+
+        # A live touched key's row in the new table is its row in the old
+        # one, shifted by the keys added (+1) and removed (-1) before it.
+        shift = added.astype(np.int64)
+        shift[removed] = -1
+        rows = positions + np.cumsum(shift) - shift
+        rows = rows[live]
+        num_after = table_keys.size + int(shift.sum())
+        untouched = np.ones(table_keys.size, dtype=bool)
+        untouched[positions[found]] = False
+        fill = np.ones(num_after, dtype=bool)
+        fill[rows] = False
+        new_keys = np.empty(num_after, dtype=np.int64)
+        new_keys[fill] = table_keys[untouched]
+        new_keys[rows] = keys[live]
+        new_counts = np.empty(num_after, dtype=np.float64)
+        new_counts[fill] = table_counts[untouched]
+        new_counts[rows] = after[live]
+
+        diff = WindowDiff(
+            added_keys=keys[added],
+            removed_keys=keys[removed],
+            reweighted_keys=keys[found & live & (deltas != 0.0)],
+            num_pairs_before=int(table_keys.size),
+            num_pairs_after=num_after,
+        )
+        num_products = self._product_counts.size
+        self._product_counts = _frozen(
+            self._product_counts
+            + np.bincount(
+                diff.added_keys & PRODUCT_MASK, minlength=num_products
+            )
+            - np.bincount(
+                diff.removed_keys & PRODUCT_MASK, minlength=num_products
+            )
+        )
+        self._pair_keys = _frozen(new_keys)
+        self._pair_counts = _frozen(new_counts)
+        return diff
 
     # ------------------------------------------------------------------
     def build(self) -> WindowGraph:
@@ -222,31 +256,17 @@ class IncrementalWindowBuilder:
         return window_from_pairs(
             self._pair_keys,
             self._pair_counts,
-            self.stream.config.num_products,
+            self._product_counts,
             start_day=start,
             num_days=len(self._days),
             name=f"window-inc-{len(self._days)}d@{start}",
         )
 
 
-def _locate(
-    keys: np.ndarray, queries: np.ndarray
-) -> Tuple[np.ndarray, np.ndarray]:
-    """Insertion positions of sorted ``queries`` in sorted ``keys``, and
-    which of them are present there."""
-    positions = np.searchsorted(keys, queries)
-    found = np.zeros(queries.size, dtype=bool)
-    inside = positions < keys.size
-    found[inside] = keys[positions[inside]] == queries[inside]
-    return positions, found
-
-
-def _rows(
-    keys: np.ndarray, counts: np.ndarray, queries: np.ndarray
-) -> Tuple[np.ndarray, np.ndarray]:
-    """The rows of a sorted pair table whose keys are among ``queries``."""
-    positions, found = _locate(keys, queries)
-    return queries[found], counts[positions[found]]
+def _frozen(array: np.ndarray) -> np.ndarray:
+    """``array``, made read-only."""
+    array.setflags(write=False)
+    return array
 
 
 def warm_start_seeds(

@@ -111,7 +111,7 @@ class WindowGraph:
 def window_from_pairs(
     pair_keys: np.ndarray,
     pair_counts: np.ndarray,
-    num_products: int,
+    product_counts: np.ndarray,
     *,
     start_day: int,
     num_days: int,
@@ -121,12 +121,14 @@ def window_from_pairs(
 
     ``pair_keys`` are packed (user, product) keys, sorted ascending and
     unique; ``pair_counts`` are their float64 interaction counts;
-    ``num_products`` bounds the product ids.  The result is bitwise the
-    ``from_edge_arrays(..., symmetrize=True)`` build of the same pairs,
-    without its sort:
+    ``product_counts[p]`` is the number of those pairs naming product
+    ``p``, for every product id of the stream (the product degrees).  The
+    result is bitwise the ``from_edge_arrays(..., symmetrize=True)`` build
+    of the same pairs, without its sort:
 
     * the keys are sorted by (user, product) and compaction keeps order,
-      so the user rows are the pair list itself;
+      so the user rows are the pair list itself, and they start where the
+      user's run of pairs starts;
     * the product rows are one stable sort of the product index, which
       keeps each product's users ascending.
 
@@ -140,14 +142,13 @@ def window_from_pairs(
     weights = np.empty(2 * num_pairs, dtype=np.float64)
     users, products = unpack_pairs(pair_keys)
     # Users compact in one run-length pass over the sorted keys, products
-    # through a mask over the product universe; both keep id order.
+    # through the nonzero counts of the product universe; both keep id
+    # order.
     new_user = np.ones(users.size, dtype=bool)
     np.not_equal(users[1:], users[:-1], out=new_user[1:])
-    window_users = users[new_user]
-    user_index = np.cumsum(new_user)
-    user_index -= 1
-    present = np.zeros(num_products, dtype=bool)
-    present[products] = True
+    user_starts = np.flatnonzero(new_user)
+    window_users = users[user_starts]
+    present = product_counts > 0
     window_products = np.flatnonzero(present)
     product_index = (np.cumsum(present) - 1)[products]
     num_users = window_users.size
@@ -159,18 +160,21 @@ def window_from_pairs(
         product_index.astype(np.min_scalar_type(num_window_products)),
         kind="stable",
     )
-    degrees = np.concatenate(
-        [
-            np.bincount(user_index, minlength=num_users),
-            np.bincount(product_index, minlength=num_window_products),
-        ]
+    offsets = np.empty(num_users + num_window_products + 1, dtype=VERTEX_DTYPE)
+    offsets[:num_users] = user_starts
+    offsets[num_users] = 0
+    np.cumsum(product_counts[window_products], out=offsets[num_users + 1:])
+    offsets[num_users:] += num_pairs
+    user_index = np.repeat(
+        np.arange(num_users, dtype=VERTEX_DTYPE),
+        np.diff(offsets[: num_users + 1]),
     )
-    offsets = np.zeros(num_users + num_window_products + 1, dtype=VERTEX_DTYPE)
-    np.cumsum(degrees, out=offsets[1:])
     np.add(product_index, num_users, out=indices[:num_pairs])
-    np.take(user_index, order, out=indices[num_pairs:])
+    # ``order`` is a permutation, so no index needs ``take``'s range check
+    # (which buffers ``out``): ``clip`` is the unbuffered mode.
+    np.take(user_index, order, out=indices[num_pairs:], mode="clip")
     weights[:num_pairs] = pair_counts
-    np.take(pair_counts, order, out=weights[num_pairs:])
+    np.take(pair_counts, order, out=weights[num_pairs:], mode="clip")
     graph = CSRGraph(
         offsets=offsets, indices=indices, weights=weights, name=name
     )
@@ -202,7 +206,9 @@ def build_window_graph(
     return window_from_pairs(
         pair_keys,
         pair_counts.astype(np.float64),
-        stream.config.num_products,
+        np.bincount(
+            pair_keys & PRODUCT_MASK, minlength=stream.config.num_products
+        ),
         start_day=start_day,
         num_days=num_days,
         name=name if name is not None else f"window-{num_days}d@{start_day}",

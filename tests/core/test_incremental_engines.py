@@ -237,12 +237,14 @@ class TestPinnedVertices:
 
     def test_prune_pinned_drops_only_pinned(self):
         frontier = np.array([1, 3, 5, 7], dtype=np.int64)
-        pinned = np.array([3, 7, 9], dtype=np.int64)
+        pinned = np.zeros(10, dtype=bool)
+        pinned[[3, 7, 9]] = True
         assert np.array_equal(
             prune_pinned(frontier, pinned), np.array([1, 5])
         )
         assert prune_pinned(frontier, None) is frontier
-        assert prune_pinned(frontier, np.empty(0, dtype=np.int64)) is frontier
+        empty = np.empty(0, dtype=np.int64)
+        assert prune_pinned(empty, pinned) is empty
 
     @pytest.mark.parametrize("past_end", [False, True])
     def test_out_of_range_pinned_id_rejected(self, slide, past_end):
