@@ -782,6 +782,18 @@ def dataflow_source(
         for node in tree.body
         if isinstance(node, ast.FunctionDef)
     }
+    # A body passed to ``run_launch(ctx, "<kernel>", vertices, build,
+    # body)`` runs inside that kernel's launch.
+    launched: Dict[str, str] = {}
+    for node in ast.walk(tree):
+        if (
+            isinstance(node, ast.Call)
+            and _attr_chain(node.func)[-1:] == ["run_launch"]
+            and len(node.args) >= 5
+            and isinstance(node.args[1], ast.Constant)
+            and isinstance(node.args[4], ast.Name)
+        ):
+            launched[node.args[4].id] = node.args[1].value
     findings: List[Finding] = []
     checked = 0
     for node in ast.walk(tree):
@@ -792,6 +804,7 @@ def dataflow_source(
             checked += 1
             continue
         analyzer = _FunctionAnalyzer(filename, helpers, findings)
+        analyzer.kernel = launched.get(node.name, "")
         # Parameters are opaque arrays/objects, not positive scalars.
         for arg in node.args.args:
             analyzer.env[arg.arg] = _top()

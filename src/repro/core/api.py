@@ -56,8 +56,9 @@ class LPProgram:
     #: When ``True``, frontier-based engines (Ligra) may skip vertices whose
     #: neighborhoods did not change, and dense GPU passes replay a kernel
     #: launch whose input labels did not change since its last execution
-    #: (its kept counters and outputs stand in for re-running it; see
-    #: :func:`repro.kernels.base.replay_or_keep`).  Programs with *global*
+    #: (its kept counters and outputs stand in for re-running it) or patch
+    #: it over the vertices whose reads changed (see
+    #: :func:`repro.kernels.base.run_launch`).  Programs with *global*
     #: state in their score (LLP's label volumes) or randomized picks (SLP)
     #: must leave this ``False``.
     frontier_safe: bool = False

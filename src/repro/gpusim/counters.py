@@ -44,6 +44,12 @@ class PerfCounters:
             setattr(self, f.name, getattr(self, f.name) + getattr(other, f.name))
         return self
 
+    def subtract(self, other: "PerfCounters") -> "PerfCounters":
+        """In-place ``self - other``; returns ``self``."""
+        for f in fields(self):
+            setattr(self, f.name, getattr(self, f.name) - getattr(other, f.name))
+        return self
+
     def __add__(self, other: "PerfCounters") -> "PerfCounters":
         result = PerfCounters()
         result.add(self)

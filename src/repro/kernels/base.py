@@ -2,9 +2,9 @@
 
 from __future__ import annotations
 
-import contextlib
+import dataclasses
 from dataclasses import dataclass, field
-from typing import Callable, Iterator, Optional, Tuple
+from typing import Callable, Optional, Tuple
 
 import numpy as np
 
@@ -96,16 +96,18 @@ KernelOutput = Tuple[np.ndarray, np.ndarray]
 
 @dataclass(frozen=True)
 class KeptLaunch:
-    """The last execution of a scheduled launch, kept for replay.
+    """The last execution of a scheduled launch, kept for replay and
+    patching.
 
     Everything the launch body changed, keyed by the labels it read: if
     no label the launch reads differs from ``labels``, re-running the
     body would add exactly ``counters``, write exactly ``stats`` and
-    return exactly ``outputs`` (see :func:`replay_or_keep`).
+    return exactly ``outputs`` (see :func:`run_launch`).  A patch keeps
+    the record a full execution would have made.
     """
 
-    #: The V-length label array of the pass that executed the launch
-    #: (shared by every launch that pass executed).
+    #: The V-length label array of the pass that executed or patched the
+    #: launch (shared by every launch that pass executed or patched).
     labels: np.ndarray
     #: Counter delta of the body (integers only; the launch's own
     #: ``kernel_launches`` increment is not part of it).
@@ -152,7 +154,7 @@ class LaunchSchedule:
     active_lanes: Optional[np.ndarray] = None
     #: Block-per-vertex only: each edge's position within its vertex's list.
     within: Optional[np.ndarray] = None
-    #: The launch's last execution, kept by :func:`replay_or_keep`.
+    #: The launch's last execution or patch, kept by :func:`run_launch`.
     kept: Optional[KeptLaunch] = None
 
     @property
@@ -226,84 +228,192 @@ class KernelContext:
         return handle
 
 
-class LaunchReplay:
-    """One launch's replay-or-keep state, yielded by :func:`replay_or_keep`."""
-
-    def __init__(self) -> None:
-        #: The kept outputs when the launch was replayed, else ``None``.
-        self.replayed: Optional[KernelOutput] = None
-        self.outputs: Optional[KernelOutput] = None
-
-    def keep(self, outputs: KernelOutput) -> KernelOutput:
-        """Note the executed body's outputs; returns them."""
-        self.outputs = outputs
-        return outputs
+#: A kernel's label-independent half: its schedule over sorted vertices.
+ScheduleBuild = Callable[["KernelContext", np.ndarray], LaunchSchedule]
+#: A kernel's label-dependent half: reads ``ctx.current_labels``, charges
+#: the device over the schedule and returns the outputs.
+LaunchBody = Callable[["KernelContext", LaunchSchedule], KernelOutput]
 
 
-@contextlib.contextmanager
-def replay_or_keep(
-    ctx: KernelContext, schedule: LaunchSchedule
-) -> Iterator[LaunchReplay]:
-    """Inside a kernel's launch: replay its kept record, or keep this one.
+def _per_vertex_terms(stats: dict) -> bool:
+    """Patch rule of a kernel whose label-dependent effects always are
+    sums of per-vertex terms (see :func:`run_launch`)."""
+    return True
 
-    Replay applies on dense passes (kept schedules) of ``frontier_safe``
-    programs, whose kernel results depend on nothing but the labels read,
-    while no sanitizer listens to the launch.  There, a launch whose
-    reads are unchanged since its kept execution adds the kept counter
-    delta, makes the same scratch allocations, restores the stats entries
-    and yields with ``replayed`` set: the kernel returns it instead of
-    running its body.  Any other launch runs its body, which ends with
-    ``return launch.keep(outputs)``; where replay applies, that execution
-    becomes the schedule's kept record.  The enclosing ``device.launch``
-    then derives timing, timeline record, trace span and fault events
-    from the same counters in the same order either way.
+
+def run_launch(
+    ctx: KernelContext,
+    kernel: str,
+    vertices: np.ndarray,
+    build: ScheduleBuild,
+    body: LaunchBody,
+    *,
+    patch: Optional[Callable[[dict], bool]] = _per_vertex_terms,
+) -> KernelOutput:
+    """Launch ``kernel`` over ``vertices``: replay, patch or execute it.
+
+    Inside ``device.launch(kernel)`` the schedule is built (or the kept
+    one taken) and then one of three things happens:
+
+    * **replay** — no label the launch reads differs from its kept
+      record's: add the kept counter delta, make the same scratch
+      allocations, restore the stats entries and return the kept outputs;
+    * **patch** — the affected vertices A (those whose own label changed
+      or that have an in-neighbor whose label changed) hold fewer than
+      half the launch's edges: run ``body`` over A's sub-schedule on the
+      kept labels and on the current ones, charge ``kept + new(A) -
+      old(A)`` for every counter and stats entry, and return the kept
+      outputs with A's positions replaced;
+    * **execute** — run ``body`` over the whole schedule.
+
+    Replay and patch apply on dense passes (kept schedules) of
+    ``frontier_safe`` programs, whose kernel results depend on nothing but
+    the labels read, while no sanitizer listens to the launch; where they
+    apply, an executed or patched launch becomes the schedule's kept
+    record.  A patch is exact when every label-dependent effect of
+    ``body`` is a sum of per-vertex terms, so the terms of vertices
+    outside A are the kept ones and label-independent terms cancel
+    between the two sub-runs.  ``patch(stats)`` says whether a sub-run's
+    stats entries allow that (``None``: the kernel never patches); when a
+    sub-run breaks it, the launch executes.  A patchable body makes no
+    scratch allocation.  The enclosing ``device.launch`` derives timing,
+    timeline record, trace span and fault events from the same counters
+    in the same order whichever way the launch ran.
     """
-    device = ctx.device
-    launch = LaunchReplay()
-    if (
-        ctx.schedules is None
-        or not ctx.program.frontier_safe
-        or hooks.ACTIVE.get() is not None
-    ):
-        yield launch
-        return
-    kept = schedule.kept
-    if kept is not None:
+    with ctx.device.launch(kernel):
+        schedule = ctx.schedule(kernel, vertices, build)
+        if (
+            ctx.schedules is None
+            or not ctx.program.frontier_safe
+            or hooks.ACTIVE.get() is not None
+        ):
+            return body(ctx, schedule)
+        kept = schedule.kept
+        if kept is None:
+            return _execute(ctx, schedule, body)
+        changed = kept.labels != ctx.current_labels
+        if not changed.any():
+            return _replay(ctx, kept)
         # A launch reads its neighbors' labels and, through a vertex with
         # no edges, its own vertices' labels.
-        changed = kept.labels != ctx.current_labels
-        if changed.any() and (
-            changed[schedule.vertices].any()
-            or changed[schedule.batch.neighbor_ids].any()
-        ):
-            kept = None
-    if kept is not None:
-        device.counters.add(kept.counters)
-        for shape, dtype, origin in kept.scratch:
-            device.free(ctx.scratch(shape, dtype, origin))
-        ctx.stats.update(kept.stats)
-        launch.replayed = kept.outputs
-        yield launch
-        return
+        batch = schedule.batch
+        own = changed[schedule.vertices]
+        if patch is None or not _may_patch(ctx, schedule, own):
+            if own.any() or changed[batch.neighbor_ids].any():
+                return _execute(ctx, schedule, body)
+            return _replay(ctx, kept)
+        affected = changed.copy()
+        affected[batch.vertex_ids[changed[batch.neighbor_ids]]] = True
+        positions = np.flatnonzero(affected[schedule.vertices])
+        if positions.size == 0:
+            return _replay(ctx, kept)
+        if _may_patch(ctx, schedule, positions):
+            outputs = _patch(ctx, schedule, build, body, patch, positions)
+            if outputs is not None:
+                return outputs
+        return _execute(ctx, schedule, body)
 
+
+def _may_patch(
+    ctx: KernelContext, schedule: LaunchSchedule, subset: np.ndarray
+) -> bool:
+    """Whether the launch vertices ``subset`` selects (a mask or
+    positions) hold fewer than half the launch's edges: two sub-runs over
+    them then cost less than one full execution."""
+    edges = int(ctx.graph.degrees[schedule.vertices[subset]].sum())
+    return 2 * edges < schedule.batch.num_edges
+
+
+def _replay(ctx: KernelContext, kept: KeptLaunch) -> KernelOutput:
+    """Re-charge a kept record whose reads did not change."""
+    ctx.device.counters.add(kept.counters)
+    for shape, dtype, origin in kept.scratch:
+        ctx.device.free(ctx.scratch(shape, dtype, origin))
+    ctx.stats.update(kept.stats)
+    return kept.outputs
+
+
+def _execute(
+    ctx: KernelContext, schedule: LaunchSchedule, body: LaunchBody
+) -> KernelOutput:
+    """Run ``body`` over the whole schedule and keep the execution."""
+    device = ctx.device
     before = device.counters.copy()
     outer_stats, ctx.stats = ctx.stats, {}
     ctx._scratch = []
     try:
-        yield launch
+        outputs = body(ctx, schedule)
     finally:
         stats, ctx.stats = ctx.stats, outer_stats
         outer_stats.update(stats)
         scratch, ctx._scratch = ctx._scratch, None
-    if ctx._labels_copy is None:
-        ctx._labels_copy = ctx.current_labels.copy()
-    schedule.kept = KeptLaunch(
-        labels=ctx._labels_copy,
+    _keep(
+        ctx,
+        schedule,
         counters=device.counters.delta_since(before),
         stats=stats,
-        outputs=launch.outputs,
+        outputs=outputs,
         scratch=tuple(scratch),
     )
+    return outputs
+
+
+def _patch(
+    ctx: KernelContext,
+    schedule: LaunchSchedule,
+    build: ScheduleBuild,
+    body: LaunchBody,
+    patch: Callable[[dict], bool],
+    positions: np.ndarray,
+) -> Optional[KernelOutput]:
+    """Patch the kept record over the affected ``positions``.
+
+    Returns the patched outputs, or ``None`` (with the device's counters
+    as they were) when a sub-run's stats break the ``patch`` rule.
+    """
+    kept = schedule.kept
+    vertices = schedule.vertices[positions]
+    counters = ctx.device.counters
+    sub_schedule = build(ctx, vertices)
+    runs = []
+    for labels in (kept.labels, ctx.current_labels):
+        sub = dataclasses.replace(ctx, current_labels=labels, stats={})
+        before = counters.copy()
+        outputs = body(sub, sub_schedule)
+        runs.append((counters.delta_since(before), sub.stats, outputs))
+    (old, old_stats, _), (new, new_stats, new_outputs) = runs
+    counters.subtract(old).subtract(new)
+    if not (patch(old_stats) and patch(new_stats)):
+        return None
+    patched = kept.counters.copy().add(new).subtract(old)
+    counters.add(patched)
+    stats = {
+        key: kept.stats.get(key, 0)
+        + new_stats.get(key, 0)
+        - old_stats.get(key, 0)
+        for key in {**kept.stats, **new_stats}
+    }
+    ctx.stats.update(stats)
+    outputs = tuple(kept_out.copy() for kept_out in kept.outputs)
+    for out, sub_out in zip(outputs, new_outputs):
+        out[positions] = sub_out
+    _keep(
+        ctx,
+        schedule,
+        counters=patched,
+        stats=stats,
+        outputs=outputs,
+        scratch=kept.scratch,
+    )
+    return outputs
+
+
+def _keep(ctx: KernelContext, schedule: LaunchSchedule, **record) -> None:
+    """Make ``record`` the schedule's kept launch, read on this pass's
+    labels."""
+    if ctx._labels_copy is None:
+        ctx._labels_copy = ctx.current_labels.copy()
+    schedule.kept = KeptLaunch(labels=ctx._labels_copy, **record)
 
 
 # ----------------------------------------------------------------------

@@ -31,7 +31,7 @@ from repro.kernels.base import (
     LaunchSchedule,
     account_label_writeback,
     common_reads,
-    replay_or_keep,
+    run_launch,
     warp_steps_block_per_vertex,
 )
 from repro.gpusim.block import BlockConfig, block_reduce_max_cost
@@ -108,11 +108,177 @@ def overflow_cms_max_scores(
     return vertex_ids[owner_starts], np.maximum.reduceat(scores, owner_starts)
 
 
+def _smem_cms_ht_body(
+    ctx: KernelContext, schedule: LaunchSchedule
+) -> Tuple[np.ndarray, np.ndarray]:
+    """HT residency, shared atomics, the s(HT) vs s(CMS) decision, the
+    global fallback and the winners over a block-per-vertex schedule."""
+    device = ctx.device
+    config = ctx.config
+    vertices = schedule.vertices
+    batch = schedule.batch
+    warp_steps = schedule.warp_steps
+    # Declared word extent of the block's shared allocation for the
+    # sanitizer's OOB check: HT slots occupy [0, 2*capacity) and the CMS
+    # counters [2*capacity, 2*capacity + depth*width).
+    smem_words = config.ht_capacity * 2 + config.cms_depth * config.cms_width
+
+    groups = mfl.aggregate_label_frequencies(
+        ctx.program, batch, ctx.current_labels
+    )
+    edge_labels = groups.edge_labels
+    schedule.charge(device)
+
+    # ------------------------------------------------------------------
+    # HT residency: with full-table probing the resident set of each
+    # vertex is the first `ht_capacity` distinct labels in arrival order.
+    # ------------------------------------------------------------------
+    sorted_within = schedule.within[groups.edge_order]
+    group_starts = np.flatnonzero(
+        np.concatenate(
+            ([True], groups.group_of_edge[1:] != groups.group_of_edge[:-1])
+        )
+    )
+    group_first_arrival = np.minimum.reduceat(sorted_within, group_starts)
+
+    arrival_order = pair_order(groups.vertex_ids, group_first_arrival)
+    ordered_vertices = groups.vertex_ids[arrival_order]
+    vertex_starts = np.flatnonzero(
+        np.concatenate(([True], ordered_vertices[1:] != ordered_vertices[:-1]))
+    )
+    rank_within_vertex = (
+        np.arange(groups.num_groups, dtype=np.int64)
+        - np.repeat(
+            vertex_starts,
+            np.diff(np.concatenate((vertex_starts, [groups.num_groups]))),
+        )
+    )
+    resident_sorted = rank_within_vertex < config.ht_capacity
+    resident = np.empty(groups.num_groups, dtype=bool)
+    resident[arrival_order] = resident_sorted
+
+    # Per-edge residency: an edge's counting path follows its label.
+    edge_resident_sorted = resident[groups.group_of_edge]
+    edge_resident = np.empty(batch.num_edges, dtype=bool)
+    edge_resident[groups.edge_order] = edge_resident_sorted
+
+    # ------------------------------------------------------------------
+    # Shared-memory traffic: HT atomics for resident edges, CMS atomics
+    # (d rows) for overflow edges — with real slot/bucket addresses so
+    # bank conflicts reflect the actual label distribution.
+    # ------------------------------------------------------------------
+    ht_edges = np.flatnonzero(edge_resident)
+    if ht_edges.size:
+        addresses = _ht_slot_addresses(
+            edge_labels[ht_edges], config.ht_capacity
+        )
+        device.atomics.shared_atomic_add(
+            addresses,
+            warp_ids=warp_steps[ht_edges],
+            array="smem-ht-cms",
+            size=smem_words,
+        )
+    overflow_edges = np.flatnonzero(~edge_resident)
+    cms_template = CountMinSketch(config.cms_depth, config.cms_width)
+    if overflow_edges.size:
+        bucket_rows = cms_template.bucket_addresses(
+            edge_labels[overflow_edges]
+        )
+        for row in range(config.cms_depth):
+            device.atomics.shared_atomic_add(
+                bucket_rows[row] + config.ht_capacity * 2,
+                warp_ids=warp_steps[overflow_edges],
+                array="smem-ht-cms",
+                size=smem_words,
+            )
+
+    # ------------------------------------------------------------------
+    # Per-vertex decision: s(HT) vs s(CMS).  CMS estimates are computed
+    # with a real per-block sketch (collisions included).
+    # ------------------------------------------------------------------
+    scores = np.asarray(
+        ctx.program.score(
+            groups.vertex_ids, groups.labels, groups.frequencies
+        ),
+        dtype=WEIGHT_DTYPE,
+    )
+    unique_vertices, vertex_group_starts = np.unique(
+        groups.vertex_ids, return_index=True
+    )
+    ht_scores = np.where(resident, scores, -np.inf)
+    s_ht = np.maximum.reduceat(ht_scores, vertex_group_starts)
+
+    fallback_mask = np.zeros(unique_vertices.size, dtype=bool)
+    if not resident.all():
+        # Only vertices with overflow labels can possibly fall back.
+        overflow = ~resident
+        owners, s_cms = overflow_cms_max_scores(
+            ctx.program,
+            groups.vertex_ids[overflow],
+            groups.labels[overflow],
+            groups.frequencies[overflow],
+            config.cms_depth,
+            config.cms_width,
+        )
+        owner_slots = np.searchsorted(unique_vertices, owners)
+        fallback_mask[owner_slots] = s_cms > s_ht[owner_slots]
+
+    # ------------------------------------------------------------------
+    # Global fallback: count overflow labels exactly in a global table.
+    # ------------------------------------------------------------------
+    fallback_vertices = unique_vertices[fallback_mask]
+    if fallback_vertices.size:
+        fb_set = np.isin(batch.vertex_ids, fallback_vertices)
+        fb_edges = np.flatnonzero(fb_set & ~edge_resident)
+        if fb_edges.size:
+            table = GlobalHashTable.for_expected_keys(
+                fb_edges.size, load_factor=0.5
+            )
+            keys = combine_keys(
+                batch.vertex_ids[fb_edges], edge_labels[fb_edges]
+            )
+            slots, probes = table.add_batch(keys)
+            device.atomics.global_atomic_add(
+                slots,
+                ELEM_BYTES,
+                warp_ids=warp_steps[fb_edges],
+                array="global-ht",
+            )
+            device.counters.global_load_transactions += int(
+                probes - fb_edges.size
+            )
+
+    # ------------------------------------------------------------------
+    # Reduction costs (the loop costs are in the schedule).
+    # ------------------------------------------------------------------
+    block_cfg = BlockConfig(config.block_size)
+    # Two BlockReduce(max) per vertex, a third on the fallback path.
+    block_reduce_max_cost(
+        2 * vertices.size + int(fallback_mask.sum()),
+        block_cfg,
+        device.spec,
+        device.counters,
+    )
+
+    account_label_writeback(ctx, vertices.size)
+    ctx.stats["smem_high_vertices"] = int(vertices.size)
+    ctx.stats["smem_fallback_vertices"] = int(fallback_mask.sum())
+    ctx.stats["smem_overflow_groups"] = int((~resident).sum())
+    return mfl.select_best_labels(
+        ctx.program, groups, vertices, ctx.current_labels
+    )
+
+
+def _no_fallback(stats: dict) -> bool:
+    """A fallback vertex's probes go to one global table shared by every
+    fallback vertex, so only a sub-run without one patches."""
+    return stats["smem_fallback_vertices"] == 0
+
+
 def run_smem_cms_ht(
     ctx: KernelContext, vertices: np.ndarray
 ) -> Tuple[np.ndarray, np.ndarray]:
     """Run ``SharedMemBigNodes`` over the high-degree ``vertices``."""
-    device = ctx.device
     config = ctx.config
     vertices = np.asarray(vertices, dtype=np.int64)
     if vertices.size == 0:
@@ -123,164 +289,12 @@ def run_smem_cms_ht(
     # Shared-memory budget check: HT (8 B/slot) + CMS (4 B/counter).
     ht_bytes = config.ht_capacity * 8
     cms_bytes = config.cms_depth * config.cms_width * 4
-    device.shared.check_allocation(ht_bytes + cms_bytes)
-    # Declared word extent of the block's shared allocation for the
-    # sanitizer's OOB check: HT slots occupy [0, 2*capacity) and the CMS
-    # counters [2*capacity, 2*capacity + depth*width).
-    smem_words = config.ht_capacity * 2 + config.cms_depth * config.cms_width
-
-    schedule = ctx.schedule("smem-cms-ht", vertices, _block_per_vertex_schedule)
-    batch = schedule.batch
-    warp_steps = schedule.warp_steps
-
-    with device.launch("smem-cms-ht"), replay_or_keep(
-        ctx, schedule
-    ) as launch:
-        if launch.replayed is not None:
-            return launch.replayed
-        groups = mfl.aggregate_label_frequencies(
-            ctx.program, batch, ctx.current_labels
-        )
-        edge_labels = groups.edge_labels
-        schedule.charge(device)
-
-        # ------------------------------------------------------------------
-        # HT residency: with full-table probing the resident set of each
-        # vertex is the first `ht_capacity` distinct labels in arrival order.
-        # ------------------------------------------------------------------
-        sorted_within = schedule.within[groups.edge_order]
-        group_starts = np.flatnonzero(
-            np.concatenate(
-                ([True], groups.group_of_edge[1:] != groups.group_of_edge[:-1])
-            )
-        )
-        group_first_arrival = np.minimum.reduceat(sorted_within, group_starts)
-
-        arrival_order = pair_order(groups.vertex_ids, group_first_arrival)
-        ordered_vertices = groups.vertex_ids[arrival_order]
-        vertex_starts = np.flatnonzero(
-            np.concatenate(([True], ordered_vertices[1:] != ordered_vertices[:-1]))
-        )
-        rank_within_vertex = (
-            np.arange(groups.num_groups, dtype=np.int64)
-            - np.repeat(
-                vertex_starts,
-                np.diff(np.concatenate((vertex_starts, [groups.num_groups]))),
-            )
-        )
-        resident_sorted = rank_within_vertex < config.ht_capacity
-        resident = np.empty(groups.num_groups, dtype=bool)
-        resident[arrival_order] = resident_sorted
-
-        # Per-edge residency: an edge's counting path follows its label.
-        edge_resident_sorted = resident[groups.group_of_edge]
-        edge_resident = np.empty(batch.num_edges, dtype=bool)
-        edge_resident[groups.edge_order] = edge_resident_sorted
-
-        # ------------------------------------------------------------------
-        # Shared-memory traffic: HT atomics for resident edges, CMS atomics
-        # (d rows) for overflow edges — with real slot/bucket addresses so
-        # bank conflicts reflect the actual label distribution.
-        # ------------------------------------------------------------------
-        ht_edges = np.flatnonzero(edge_resident)
-        if ht_edges.size:
-            addresses = _ht_slot_addresses(
-                edge_labels[ht_edges], config.ht_capacity
-            )
-            device.atomics.shared_atomic_add(
-                addresses,
-                warp_ids=warp_steps[ht_edges],
-                array="smem-ht-cms",
-                size=smem_words,
-            )
-        overflow_edges = np.flatnonzero(~edge_resident)
-        cms_template = CountMinSketch(config.cms_depth, config.cms_width)
-        if overflow_edges.size:
-            bucket_rows = cms_template.bucket_addresses(
-                edge_labels[overflow_edges]
-            )
-            for row in range(config.cms_depth):
-                device.atomics.shared_atomic_add(
-                    bucket_rows[row] + config.ht_capacity * 2,
-                    warp_ids=warp_steps[overflow_edges],
-                    array="smem-ht-cms",
-                    size=smem_words,
-                )
-
-        # ------------------------------------------------------------------
-        # Per-vertex decision: s(HT) vs s(CMS).  CMS estimates are computed
-        # with a real per-block sketch (collisions included).
-        # ------------------------------------------------------------------
-        scores = np.asarray(
-            ctx.program.score(
-                groups.vertex_ids, groups.labels, groups.frequencies
-            ),
-            dtype=WEIGHT_DTYPE,
-        )
-        unique_vertices, vertex_group_starts = np.unique(
-            groups.vertex_ids, return_index=True
-        )
-        ht_scores = np.where(resident, scores, -np.inf)
-        s_ht = np.maximum.reduceat(ht_scores, vertex_group_starts)
-
-        fallback_mask = np.zeros(unique_vertices.size, dtype=bool)
-        if not resident.all():
-            # Only vertices with overflow labels can possibly fall back.
-            overflow = ~resident
-            owners, s_cms = overflow_cms_max_scores(
-                ctx.program,
-                groups.vertex_ids[overflow],
-                groups.labels[overflow],
-                groups.frequencies[overflow],
-                config.cms_depth,
-                config.cms_width,
-            )
-            owner_slots = np.searchsorted(unique_vertices, owners)
-            fallback_mask[owner_slots] = s_cms > s_ht[owner_slots]
-
-        # ------------------------------------------------------------------
-        # Global fallback: count overflow labels exactly in a global table.
-        # ------------------------------------------------------------------
-        fallback_vertices = unique_vertices[fallback_mask]
-        if fallback_vertices.size:
-            fb_set = np.isin(batch.vertex_ids, fallback_vertices)
-            fb_edges = np.flatnonzero(fb_set & ~edge_resident)
-            if fb_edges.size:
-                table = GlobalHashTable.for_expected_keys(
-                    fb_edges.size, load_factor=0.5
-                )
-                keys = combine_keys(
-                    batch.vertex_ids[fb_edges], edge_labels[fb_edges]
-                )
-                slots, probes = table.add_batch(keys)
-                device.atomics.global_atomic_add(
-                    slots,
-                    ELEM_BYTES,
-                    warp_ids=warp_steps[fb_edges],
-                    array="global-ht",
-                )
-                device.counters.global_load_transactions += int(
-                    probes - fb_edges.size
-                )
-
-        # ------------------------------------------------------------------
-        # Reduction costs (the loop costs are in the schedule).
-        # ------------------------------------------------------------------
-        block_cfg = BlockConfig(config.block_size)
-        # Two BlockReduce(max) per vertex, a third on the fallback path.
-        block_reduce_max_cost(
-            2 * vertices.size + int(fallback_mask.sum()),
-            block_cfg,
-            device.spec,
-            device.counters,
-        )
-
-        account_label_writeback(ctx, vertices.size)
-        ctx.stats["smem_high_vertices"] = int(vertices.size)
-        ctx.stats["smem_fallback_vertices"] = int(fallback_mask.sum())
-        ctx.stats["smem_overflow_groups"] = int((~resident).sum())
-        return launch.keep(
-            mfl.select_best_labels(
-                ctx.program, groups, vertices, ctx.current_labels
-            )
-        )
+    ctx.device.shared.check_allocation(ht_bytes + cms_bytes)
+    return run_launch(
+        ctx,
+        "smem-cms-ht",
+        vertices,
+        _block_per_vertex_schedule,
+        _smem_cms_ht_body,
+        patch=_no_fallback,
+    )

@@ -36,7 +36,7 @@ from repro.kernels.base import (
     LaunchSchedule,
     account_label_writeback,
     common_reads,
-    replay_or_keep,
+    run_launch,
     warp_per_vertex_schedule,
     warp_steps_one_thread_per_vertex,
 )
@@ -132,6 +132,46 @@ def _warp_multi_schedule(
     )
 
 
+def _warp_multi_body(
+    ctx: KernelContext, schedule: LaunchSchedule
+) -> Tuple[np.ndarray, np.ndarray]:
+    """Group-by, intrinsics and winners over a warp-multi schedule."""
+    device = ctx.device
+    batch = schedule.batch
+    groups = mfl.aggregate_label_frequencies(
+        ctx.program, batch, ctx.current_labels
+    )
+    schedule.charge(device)
+
+    if schedule.warps_launched:
+        # --------------------------------------------------------------
+        # Genuine intrinsic execution: lay (vertex, label) keys onto the
+        # (warp, lane) grid and run ballot / match_any / popc.  The
+        # paper's first match_any (vmask, lanes of one vertex) only finds
+        # the groups the packing laid out, so only the packed (vertex,
+        # label) key is matched: it realizes the second match_any over
+        # labels within a vertex group.
+        # --------------------------------------------------------------
+        active = schedule.active_lanes
+        combined = np.zeros(active.shape, dtype=np.int64)
+        combined.ravel()[schedule.lane_slots] = (
+            batch.vertex_ids * np.int64(1 << 32) + groups.edge_labels
+        )
+        warp_intrinsics.ballot_sync(active, active)
+        lmask = warp_intrinsics.match_any_sync(active, combined)
+        lane_freq = warp_intrinsics.popc(lmask)
+
+        # Differential check hook: with unit weights the popc counts must
+        # equal the group-by frequencies.
+        ctx.stats["warp_multi_popc_edges"] = int(lane_freq[active].sum())
+        ctx.stats["warp_multi_warps"] = schedule.warps_launched
+
+    account_label_writeback(ctx, schedule.vertices.size)
+    return mfl.select_best_labels(
+        ctx.program, groups, schedule.vertices, ctx.current_labels
+    )
+
+
 def run_warp_multi(
     ctx: KernelContext, vertices: np.ndarray
 ) -> Tuple[np.ndarray, np.ndarray]:
@@ -140,53 +180,12 @@ def run_warp_multi(
     Returns ``(best_labels, best_scores)`` aligned with the (sorted) input
     vertex array.
     """
-    device = ctx.device
     vertices = np.sort(np.asarray(vertices, dtype=np.int64))
     if vertices.size == 0:
         return np.empty(0, dtype=np.int64), np.empty(0, dtype=np.float64)
-
-    schedule = ctx.schedule("warp-multi", vertices, _warp_multi_schedule)
-    batch = schedule.batch
-
-    with device.launch("warp-multi"), replay_or_keep(
-        ctx, schedule
-    ) as launch:
-        if launch.replayed is not None:
-            return launch.replayed
-        groups = mfl.aggregate_label_frequencies(
-            ctx.program, batch, ctx.current_labels
-        )
-        schedule.charge(device)
-
-        if schedule.warps_launched:
-            # ----------------------------------------------------------
-            # Genuine intrinsic execution: lay (vertex, label) keys onto
-            # the (warp, lane) grid and run ballot / match_any / popc.
-            # The paper's first match_any (vmask, lanes of one vertex)
-            # only finds the groups the packing laid out, so only the
-            # packed (vertex, label) key is matched: it realizes the
-            # second match_any over labels within a vertex group.
-            # ----------------------------------------------------------
-            active = schedule.active_lanes
-            combined = np.zeros(active.shape, dtype=np.int64)
-            combined.ravel()[schedule.lane_slots] = (
-                batch.vertex_ids * np.int64(1 << 32) + groups.edge_labels
-            )
-            warp_intrinsics.ballot_sync(active, active)
-            lmask = warp_intrinsics.match_any_sync(active, combined)
-            lane_freq = warp_intrinsics.popc(lmask)
-
-            # Differential check hook: with unit weights the popc counts
-            # must equal the group-by frequencies.
-            ctx.stats["warp_multi_popc_edges"] = int(lane_freq[active].sum())
-            ctx.stats["warp_multi_warps"] = schedule.warps_launched
-
-        account_label_writeback(ctx, vertices.size)
-        return launch.keep(
-            mfl.select_best_labels(
-                ctx.program, groups, vertices, ctx.current_labels
-            )
-        )
+    return run_launch(
+        ctx, "warp-multi", vertices, _warp_multi_schedule, _warp_multi_body
+    )
 
 
 def _thread_per_vertex_schedule(
@@ -218,34 +217,63 @@ def _thread_per_vertex_schedule(
     )
 
 
+def _thread_per_vertex_body(
+    ctx: KernelContext, schedule: LaunchSchedule
+) -> Tuple[np.ndarray, np.ndarray]:
+    """Group-by and winners; the pair counting is in the schedule."""
+    groups = mfl.aggregate_label_frequencies(
+        ctx.program, schedule.batch, ctx.current_labels
+    )
+    schedule.charge(ctx.device)
+    account_label_writeback(ctx, schedule.vertices.size)
+    return mfl.select_best_labels(
+        ctx.program, groups, schedule.vertices, ctx.current_labels
+    )
+
+
 def run_thread_per_vertex(
     ctx: KernelContext, vertices: np.ndarray
 ) -> Tuple[np.ndarray, np.ndarray]:
     """One-thread-one-vertex baseline (register pairwise counting)."""
-    device = ctx.device
     vertices = np.sort(np.asarray(vertices, dtype=np.int64))
     if vertices.size == 0:
         return np.empty(0, dtype=np.int64), np.empty(0, dtype=np.float64)
-
-    schedule = ctx.schedule(
-        "thread-per-vertex", vertices, _thread_per_vertex_schedule
+    return run_launch(
+        ctx,
+        "thread-per-vertex",
+        vertices,
+        _thread_per_vertex_schedule,
+        _thread_per_vertex_body,
     )
 
-    with device.launch("thread-per-vertex"), replay_or_keep(
-        ctx, schedule
-    ) as launch:
-        if launch.replayed is not None:
-            return launch.replayed
-        groups = mfl.aggregate_label_frequencies(
-            ctx.program, schedule.batch, ctx.current_labels
-        )
-        schedule.charge(device)
-        account_label_writeback(ctx, vertices.size)
-        return launch.keep(
-            mfl.select_best_labels(
-                ctx.program, groups, vertices, ctx.current_labels
-            )
-        )
+
+def _warp_shared_ht_body(
+    ctx: KernelContext, schedule: LaunchSchedule
+) -> Tuple[np.ndarray, np.ndarray]:
+    """Group-by, shared-HT atomics at the labels' slots, and winners."""
+    device = ctx.device
+    config = ctx.config
+    groups = mfl.aggregate_label_frequencies(
+        ctx.program, schedule.batch, ctx.current_labels
+    )
+    schedule.charge(device)
+
+    mixed = groups.edge_labels.astype(np.uint64) * np.uint64(
+        0x9E3779B97F4A7C15
+    )
+    mixed ^= mixed >> np.uint64(29)
+    slot = (mixed % np.uint64(config.ht_capacity)).astype(np.int64)
+    device.atomics.shared_atomic_add(
+        slot,
+        warp_ids=schedule.warp_steps,
+        array="warp-ht",
+        size=config.ht_capacity * 2,
+    )
+
+    account_label_writeback(ctx, schedule.vertices.size)
+    return mfl.select_best_labels(
+        ctx.program, groups, schedule.vertices, ctx.current_labels
+    )
 
 
 def run_warp_shared_ht(
@@ -257,47 +285,18 @@ def run_warp_shared_ht(
     fits a per-warp shared table (degree <= 128 < ht_capacity), so counting
     never touches global memory.
     """
-    device = ctx.device
-    config = ctx.config
     vertices = np.sort(np.asarray(vertices, dtype=np.int64))
     if vertices.size == 0:
         return np.empty(0, dtype=np.int64), np.empty(0, dtype=np.float64)
 
-    device.shared.check_allocation(config.ht_capacity * 8)
-    schedule = ctx.schedule(
+    ctx.device.shared.check_allocation(ctx.config.ht_capacity * 8)
+    return run_launch(
+        ctx,
         "warp-shared-ht",
         vertices,
         functools.partial(
             warp_per_vertex_schedule,
             loop_instructions=_SHARED_HT_INSTRUCTIONS,
         ),
+        _warp_shared_ht_body,
     )
-
-    with device.launch("warp-shared-ht"), replay_or_keep(
-        ctx, schedule
-    ) as launch:
-        if launch.replayed is not None:
-            return launch.replayed
-        groups = mfl.aggregate_label_frequencies(
-            ctx.program, schedule.batch, ctx.current_labels
-        )
-        schedule.charge(device)
-
-        mixed = groups.edge_labels.astype(np.uint64) * np.uint64(
-            0x9E3779B97F4A7C15
-        )
-        mixed ^= mixed >> np.uint64(29)
-        slot = (mixed % np.uint64(config.ht_capacity)).astype(np.int64)
-        device.atomics.shared_atomic_add(
-            slot,
-            warp_ids=schedule.warp_steps,
-            array="warp-ht",
-            size=config.ht_capacity * 2,
-        )
-
-        account_label_writeback(ctx, vertices.size)
-        return launch.keep(
-            mfl.select_best_labels(
-                ctx.program, groups, vertices, ctx.current_labels
-            )
-        )

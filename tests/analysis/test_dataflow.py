@@ -94,6 +94,12 @@ def test_shipped_kernels_are_proven_in_bounds():
     assert by_file.get("smem_cms_ht.py") == 2
     assert by_file.get("warp_centric.py") == 1
     assert report.checked >= 3
+    # Each site is attributed to the kernel whose launch runs its body.
+    assert sorted(f.kernel for f in proven) == [
+        "smem-cms-ht",
+        "smem-cms-ht",
+        "warp-shared-ht",
+    ]
 
 
 def test_shipped_update_hooks_are_monotone():

@@ -1,12 +1,14 @@
-"""Launch replay: an unchanged dense launch re-charges its kept record.
+"""Launch replay and patching: a dense launch reuses its kept record.
 
 A scheduled dense MFL launch whose input labels (its neighbors' and its
 own vertices') did not change since its last execution adds that
-execution's counter delta instead of re-running the kernel body.  These
-tests pin that replay is invisible — labels, every ``IterationStats``
-field, every timeline record and every device event equal those of a
-sanitized run, where replay is off — and that it fires exactly where the
-labels a launch reads are unchanged.
+execution's counter delta instead of re-running the kernel body; one
+whose changed reads touch vertices holding fewer than half its edges
+patches the record by re-running the body over those vertices only.
+These tests pin that both are invisible — labels, every
+``IterationStats`` field, every timeline record and every device event
+equal those of a sanitized run, where both are off — and that each fires
+exactly where its rule says.
 """
 
 import contextlib
@@ -102,8 +104,9 @@ def _observed_run(name, graph_kind, *, sanitized):
 
 
 class _Spy:
-    """Counts ``aggregate_label_frequencies`` calls: one per executed
-    MFL launch, none per replayed one."""
+    """Records ``aggregate_label_frequencies`` batches: one whole batch
+    per executed MFL launch, two equal sub-batches (kept and current
+    labels) per patched one, none per replayed one."""
 
     def __init__(self, monkeypatch):
         self.batches = []
@@ -119,6 +122,19 @@ class _Spy:
     def calls(self):
         return len(self.batches)
 
+    def outcomes(self, graph):
+        """``(executed, patched)`` launch counts of the default
+        configuration's launches over ``graph``."""
+        launch_size = np.zeros(graph.num_vertices, dtype=np.int64)
+        for vertices in _launch_vertex_sets(graph):
+            launch_size[vertices] = vertices.size
+        whole = [b.size == launch_size[b[0]] for b in self.batches]
+        subs = [b for b, w in zip(self.batches, whole) if not w]
+        assert len(subs) % 2 == 0
+        for old, new in zip(subs[::2], subs[1::2]):
+            assert np.array_equal(old, new)
+        return sum(whole), len(subs) // 2
+
 
 def _launch_vertex_sets(graph):
     """The vertex sets of the default configuration's MFL launches."""
@@ -126,9 +142,29 @@ def _launch_vertex_sets(graph):
     return [part for part in (bins.high, bins.mid, bins.low) if part.size]
 
 
-def _reads(graph, vertices):
-    """Every vertex whose label a launch over ``vertices`` reads."""
-    return np.union1d(vertices, mfl.expand_edges(graph, vertices).neighbor_ids)
+def _expected_outcomes(graph, inputs):
+    """Per iteration after the first, each launch's outcome by the rule:
+    ``replay`` when none of its vertices has a changed own or in-neighbor
+    label, ``patch`` when those vertices hold fewer than half its edges,
+    else ``execute``."""
+    outcomes = []
+    for before, now in zip(inputs, inputs[1:]):
+        changed = before != now
+        row = []
+        for vertices in _launch_vertex_sets(graph):
+            batch = mfl.expand_edges(graph, vertices)
+            affected = changed[vertices] | np.isin(
+                vertices, batch.vertex_ids[changed[batch.neighbor_ids]]
+            )
+            edges = int(graph.degrees[vertices[affected]].sum())
+            if not affected.any():
+                row.append("replay")
+            elif 2 * edges < batch.num_edges:
+                row.append("patch")
+            else:
+                row.append("execute")
+        outcomes.append(row)
+    return outcomes
 
 
 class TestReplayIsInvisible:
@@ -157,17 +193,33 @@ class TestReplayFires:
             stop_on_convergence=False,
             record_history=True,
         )
-        launches = _launch_vertex_sets(graph)
-        reads = [_reads(graph, vertices) for vertices in launches]
         inputs = [ClassicLP().init_labels(graph)] + result.history[:-1]
-        expected = len(launches)
-        for before, now in zip(inputs, inputs[1:]):
-            expected += sum(
-                bool((before[read] != now[read]).any()) for read in reads
-            )
-        assert spy.calls == expected
-        # Replay fired: some launch of some iteration was not executed.
-        assert expected < ITERATIONS * len(launches)
+        outcomes = sum(_expected_outcomes(graph, inputs), [])
+        executed, patched = spy.outcomes(graph)
+        first_iteration = len(_launch_vertex_sets(graph))
+        assert executed == first_iteration + outcomes.count("execute")
+        assert patched == outcomes.count("patch")
+        # Replay and patch both fired.
+        assert "replay" in outcomes and "patch" in outcomes
+
+    def test_golden_oscillation_patches(self, monkeypatch):
+        graph = RUNS["glp-classic"][2]()
+        spy = _Spy(monkeypatch)
+        GLPEngine().run(
+            graph,
+            ClassicLP(),
+            max_iterations=ITERATIONS,
+            stop_on_convergence=False,
+        )
+        low = _launch_vertex_sets(graph)[-1]
+        # Iterations 1-3 execute the three launches and iteration 4
+        # patches all three.  From iteration 5 on two vertices swap labels
+        # every round: the low-degree launch, which reads them, patches
+        # (two equal sub-batches of its vertices) and the others replay.
+        assert spy.calls == 3 * 3 + 3 * 2 + (ITERATIONS - 4) * 2
+        assert spy.outcomes(graph) == (9, 3 + ITERATIONS - 4)
+        tail = spy.batches[-2 * (ITERATIONS - 4):]
+        assert all(np.isin(b, low).all() and b.size < 10 for b in tail)
 
     def test_sanitized_run_executes_every_launch(self, monkeypatch):
         graph = _settling_graph()
@@ -263,7 +315,8 @@ class TestKey:
         setup([10, 11, 12, 13])
         spy = _Spy(monkeypatch)
         best_labels, best_scores = setup([10, 11, 12, 99])
-        assert spy.calls == 1
+        # A patch: vertex 3 alone, on the kept and on the current labels.
+        assert [b.tolist() for b in spy.batches] == [[3], [3]]
         assert best_labels[3] == 99
         assert best_scores[3] == mfl.NO_SCORE
 
@@ -331,5 +384,52 @@ class TestFaults:
                 # The retried attempt keeps no record of the failed one:
                 # its first iteration executes every launch.
                 assert spy.calls == fault_free_calls + per_iteration - 2
+        assert observed[False] == observed[True]
+        assert observed[False][0] == [("launch", target, "smem-cms-ht")]
+
+    def test_kernel_fault_at_a_patched_launch(self, monkeypatch):
+        graph = RUNS["glp-classic"][2]()
+        kwargs = dict(max_iterations=ITERATIONS, stop_on_convergence=False)
+        reference = GLPEngine().run(
+            graph, ClassicLP(), record_history=True, **kwargs
+        )
+        inputs = [ClassicLP().init_labels(graph)] + reference.history[:-1]
+        outcomes = _expected_outcomes(graph, inputs)
+        # The first iteration whose first MFL launch patches (outcomes
+        # start at the second iteration).
+        row = next(i for i, r in enumerate(outcomes) if r[0] == "patch")
+        not_executed = len(outcomes[row]) - outcomes[row].count("execute")
+        iteration = row + 1
+        with hooks.installed(hooks.FAULTS, EventLog()) as log:
+            GLPEngine().run(graph, ClassicLP(), **kwargs)
+        launches = [e[2] for e in log.events if e[0] == "launch"]
+        per_iteration = len(launches) // ITERATIONS
+        target = iteration * per_iteration + 2
+        assert launches[target - 1] == "smem-cms-ht"
+
+        spy = _Spy(monkeypatch)
+        GLPEngine().run(graph, ClassicLP(), **kwargs)
+        executed, patched = spy.outcomes(graph)
+
+        observed = {}
+        for sanitized in (False, True):
+            spy = _Spy(monkeypatch)
+            plan = FaultPlan.parse(f"kernel@{target}")
+            with inject(plan) as injector, _sanitized(sanitized):
+                recovered = GLPEngine().run(
+                    graph, ClassicLP(), retry_policy=RetryPolicy(), **kwargs
+                )
+            assert recovered.labels_hash() == reference.labels_hash()
+            observed[sanitized] = (
+                [(e.stream, e.index, e.detail) for e in injector.events],
+                [iteration_fingerprint(s) for s in recovered.iterations],
+            )
+            if not sanitized:
+                # The retried attempt keeps no record of the failed one:
+                # the faulted iteration executes every launch.
+                assert spy.outcomes(graph) == (
+                    executed + not_executed,
+                    patched - outcomes[row].count("patch"),
+                )
         assert observed[False] == observed[True]
         assert observed[False][0] == [("launch", target, "smem-cms-ht")]
