@@ -148,9 +148,16 @@ class SeededFraudLP(LPProgram):
         labeled = np.flatnonzero(labels != NO_LABEL)
         if labeled.size == 0:
             return {}
+        clusters = labels[labeled]
         # One stable sort by cluster keeps each group's ids ascending.
-        order = np.argsort(labels[labeled], kind="stable")
-        sorted_clusters = labels[labeled][order]
+        # numpy radix-sorts keys of 16 bits or fewer, so non-negative
+        # labels sort in the narrowest dtype that holds them: the same
+        # permutation, in linear time when the labels fit.
+        keys = clusters
+        if clusters.min() >= 0:
+            keys = clusters.astype(np.min_scalar_type(clusters.max()))
+        order = np.argsort(keys, kind="stable")
+        sorted_clusters = clusters[order]
         starts = np.flatnonzero(sorted_clusters[1:] != sorted_clusters[:-1])
         starts += 1
         groups = np.split(labeled[order], starts)

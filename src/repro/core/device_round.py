@@ -31,7 +31,9 @@ class DeviceShare:
 
     ``vertices`` is ``None`` when the share is the whole graph.  Degrees are
     static, so the dense pass's bins are built once and its launch
-    schedules kept until a sparse pass drops them.
+    schedules kept until a sparse pass drops them.  A dense pass keeps
+    launch records only when the share's previous pass was dense too:
+    a slide runs one dense pass and then sparse ones, so it keeps none.
     """
 
     def __init__(
@@ -54,6 +56,8 @@ class DeviceShare:
         )
         self.bins = None
         self.schedules: dict = {}
+        #: Whether the share's last pass was dense.
+        self.dense = False
 
 
 def device_round(
@@ -80,7 +84,9 @@ def device_round(
         program=program,
         config=config,
         schedules=None if frontier is not None else share.schedules,
+        keep=share.dense,
     )
+    share.dense = frontier is None
     if frontier is not None:
         share.schedules.clear()
         result = pass_fn(ctx, frontier)

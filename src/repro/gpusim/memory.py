@@ -130,7 +130,7 @@ class GlobalMemoryModel:
         """Contiguous streaming read by consecutive lanes (fully coalesced)."""
         transactions = self._sequential_transactions(num_elements, element_bytes)
         self._counters.global_load_transactions += transactions
-        if array is not None and num_elements > 0:
+        if self._listening(array, num_elements):
             self._sanitize(array, np.arange(num_elements), "read")
         return transactions
 
@@ -144,9 +144,19 @@ class GlobalMemoryModel:
         """Contiguous streaming write by consecutive lanes."""
         transactions = self._sequential_transactions(num_elements, element_bytes)
         self._counters.global_store_transactions += transactions
-        if array is not None and num_elements > 0:
+        if self._listening(array, num_elements):
             self._sanitize(array, np.arange(num_elements), "write")
         return transactions
+
+    @staticmethod
+    def _listening(array: Optional[str], num_elements: int) -> bool:
+        """Whether a sanitizer sees this named sequential access: its
+        offsets are O(num_elements), so they are built only then."""
+        return (
+            array is not None
+            and num_elements > 0
+            and hooks.ACTIVE.get() is not None
+        )
 
     def _sequential_transactions(
         self, num_elements: int, element_bytes: int

@@ -187,6 +187,10 @@ class KernelContext:
     #: Launch schedules kept across the dense passes of one engine attempt,
     #: keyed by kernel name; ``None`` builds every schedule for one launch.
     schedules: Optional[dict] = None
+    #: Whether a launch without a kept record keeps its execution: only
+    #: when the pass before this one was dense too, so a next dense pass
+    #: is likely to read the record.
+    keep: bool = True
     #: This pass's copy of ``current_labels``, made by the first launch
     #: the pass executes and shared by the records of every launch it
     #: executes.
@@ -270,10 +274,11 @@ def run_launch(
     ``frontier_safe`` programs, whose kernel results depend on nothing but
     the labels read, while no sanitizer listens to the launch; where they
     apply, an executed or patched launch becomes the schedule's kept
-    record.  A patch is exact when every label-dependent effect of
-    ``body`` is a sum of per-vertex terms, so the terms of vertices
-    outside A are the kept ones and label-independent terms cancel
-    between the two sub-runs.  ``patch(stats)`` says whether a sub-run's
+    record, unless ``ctx.keep`` is off (the pass before was not dense).
+    A patch is exact when every label-dependent effect of ``body`` is a
+    sum of per-vertex terms, so the terms of vertices outside A are the
+    kept ones and label-independent terms cancel between the two
+    sub-runs.  ``patch(stats)`` says whether a sub-run's
     stats entries allow that (``None``: the kernel never patches); when a
     sub-run breaks it, the launch executes.  A patchable body makes no
     scratch allocation.  The enclosing ``device.launch`` derives timing,
@@ -290,6 +295,8 @@ def run_launch(
             return body(ctx, schedule)
         kept = schedule.kept
         if kept is None:
+            if not ctx.keep:
+                return body(ctx, schedule)
             return _execute(ctx, schedule, body)
         changed = kept.labels != ctx.current_labels
         if not changed.any():

@@ -155,39 +155,16 @@ def map_previous_vertices(
 
     Users map through their global ids, products through theirs; vertices
     absent from the current window are dropped.  Returns current-window
-    ids in input order (users first), unsorted.
+    ids in input order (users first), unsorted.  The residual frontier is
+    small, so only its own ids are looked up.
     """
     vertices = np.asarray(vertices, dtype=np.int64)
-    if vertices.size == 0:
-        return np.empty(0, dtype=np.int64)
-    user_part = vertices[vertices < previous.num_users]
-    product_part = vertices[vertices >= previous.num_users]
-    return np.concatenate(
-        [
-            _map_users(previous.users[user_part], current),
-            _map_products(
-                previous.products[product_part - previous.num_users], current
-            ),
-        ]
+    is_user = vertices < previous.num_users
+    return _present_vertices(
+        current,
+        previous.users[vertices[is_user]],
+        previous.products[vertices[~is_user] - previous.num_users],
     )
-
-
-def _map_users(user_ids: np.ndarray, current: WindowGraph) -> np.ndarray:
-    """Global user ids -> current-window vertex ids (absent dropped)."""
-    if user_ids.size == 0:
-        return np.empty(0, dtype=np.int64)
-    positions = current.window_vertex_of_user(user_ids)
-    return positions[positions >= 0]
-
-
-def _map_products(product_ids: np.ndarray, current: WindowGraph) -> np.ndarray:
-    """Global product ids -> current-window vertex ids (absent dropped)."""
-    if product_ids.size == 0 or current.products.size == 0:
-        return np.empty(0, dtype=np.int64)
-    positions = np.searchsorted(current.products, product_ids)
-    positions = np.clip(positions, 0, current.products.size - 1)
-    found = current.products[positions] == product_ids
-    return positions[found] + current.num_users
 
 
 def diff_endpoint_vertices(
@@ -201,15 +178,21 @@ def diff_endpoint_vertices(
     because warm-started labels are pinned seeds, not derived state).
     One id per changed pair endpoint: ids repeat and are not sorted.
     """
-    users, products = diff.endpoint_ids()
-    # Changed keys are sorted by user, not product; sorted needles make the
-    # product binary search several times faster.
-    return np.concatenate(
+    return _present_vertices(current, *diff.endpoint_ids())
+
+
+def _present_vertices(
+    current: WindowGraph, user_ids: np.ndarray, product_ids: np.ndarray
+) -> np.ndarray:
+    """Current-window vertices of global user ids, then of global product
+    ids; ids absent from the window are dropped."""
+    vertices = np.concatenate(
         [
-            _map_users(users, current),
-            _map_products(np.sort(products), current),
+            current.window_vertex_of_user(user_ids),
+            current.window_vertex_of_product(product_ids),
         ]
     )
+    return vertices[vertices >= 0]
 
 
 @dataclass(frozen=True)

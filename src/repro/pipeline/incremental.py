@@ -219,11 +219,15 @@ class IncrementalWindowBuilder:
         untouched[positions[found]] = False
         fill = np.ones(num_after, dtype=bool)
         fill[rows] = False
+        # Untouched pairs move through index arrays, found once for both
+        # moves: cheaper than two boolean-mask copies per move.
+        old_rows = np.flatnonzero(untouched)
+        new_rows = np.flatnonzero(fill)
         new_keys = np.empty(num_after, dtype=np.int64)
-        new_keys[fill] = table_keys[untouched]
+        new_keys[new_rows] = table_keys[old_rows]
         new_keys[rows] = keys[live]
         new_counts = np.empty(num_after, dtype=np.float64)
-        new_counts[fill] = table_counts[untouched]
+        new_counts[new_rows] = table_counts[old_rows]
         new_counts[rows] = after[live]
 
         diff = WindowDiff(
@@ -289,39 +293,29 @@ def warm_start_seeds(
     product re-labels from scratch in iteration 1, dragging most of the
     graph back onto the frontier.
 
-    The merge writes into one label array over the current window's
-    vertices, in order: carried users, then carried products, then the
-    base seeds, so a later write wins.  Returns the merged :class:`Seeds`.
+    Labels carry through ``current.vertex_map_from(previous)``.  The
+    merge writes into one label array over the current window's vertices,
+    the carried labels first and the base seeds last, so the base seeds
+    win.  Returns the merged :class:`Seeds`.
     """
     num_vertices = current.num_users + current.products.size
     merged = np.empty(num_vertices, dtype=LABEL_DTYPE)
     seeded = np.zeros(num_vertices, dtype=bool)
 
-    labeled = np.flatnonzero(previous_labels != NO_LABEL)
-    users = previous.user_of_window_vertex(labeled)
-    keep = users >= 0
-    users = users[keep]
-    labels = previous_labels[labeled[keep]]
+    carry = previous_labels != NO_LABEL
+    if not carry_products:
+        carry[previous.num_users:] = False
     if max_carryover is not None:
-        users = users[:max_carryover]
-        labels = labels[:max_carryover]
-
-    current_vertices = current.window_vertex_of_user(users)
-    present = current_vertices >= 0
-    merged[current_vertices[present]] = labels[present]
-    seeded[current_vertices[present]] = True
-    # Guard before indexing: ``&`` does not short-circuit, so folding the
-    # emptiness test into the ``found`` mask still evaluates
-    # ``current.products[positions]`` and raises on an empty window side.
-    if carry_products and current.products.size > 0:
-        prev_products = labeled[labeled >= previous.num_users]
-        product_ids = previous.products[prev_products - previous.num_users]
-        positions = np.searchsorted(current.products, product_ids)
-        positions = np.clip(positions, 0, current.products.size - 1)
-        found = current.products[positions] == product_ids
-        product_vertices = positions[found] + current.num_users
-        merged[product_vertices] = previous_labels[prev_products[found]]
-        seeded[product_vertices] = True
+        # The cap keeps the lowest labeled previous users, present in the
+        # current window or not.
+        labeled_users = np.flatnonzero(carry[:previous.num_users])
+        carry[labeled_users[max_carryover:]] = False
+    remap = current.vertex_map_from(previous)
+    carry &= remap >= 0
+    # The map is one-to-one, so no two carried vertices collide.
+    targets = remap[carry]
+    merged[targets] = previous_labels[carry]
+    seeded[targets] = True
     base = Seeds.of(base_seeds)
     if len(base) and (
         base.vertices[0] < 0 or base.vertices[-1] >= num_vertices

@@ -20,7 +20,7 @@ unique pair list.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Iterator, Optional, Tuple
 
 import numpy as np
@@ -74,6 +74,10 @@ class WindowGraph:
         Global product ids of window vertices ``[len(users), ...)``.
     start_day, num_days:
         The window bounds (inclusive start, exclusive end).
+
+    Construction also builds the two dense id maps (global user id and
+    global product id -> window vertex, -1 when absent), each sized by
+    the window's largest id, so every lookup is a bounded gather.
     """
 
     graph: CSRGraph
@@ -81,6 +85,16 @@ class WindowGraph:
     products: np.ndarray
     start_day: int
     num_days: int
+    _user_vertex: np.ndarray = field(init=False, repr=False, compare=False)
+    _product_vertex: np.ndarray = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "_user_vertex", _id_map(self.users, 0))
+        object.__setattr__(
+            self,
+            "_product_vertex",
+            _id_map(self.products, self.num_users),
+        )
 
     @property
     def num_users(self) -> int:
@@ -88,16 +102,30 @@ class WindowGraph:
 
     def window_vertex_of_user(self, user_ids: np.ndarray) -> np.ndarray:
         """Map global user ids to window vertex ids (-1 when absent)."""
-        user_ids = np.asarray(user_ids, dtype=np.int64)
-        # Guard before indexing: ``&`` does not short-circuit, so folding
-        # the emptiness test into the ``found`` mask would still evaluate
-        # ``self.users[positions]`` and raise on a zero-user window.
-        if self.users.size == 0:
-            return np.full(user_ids.shape, -1, dtype=np.int64)
-        positions = np.searchsorted(self.users, user_ids)
-        positions = np.clip(positions, 0, self.users.size - 1)
-        found = self.users[positions] == user_ids
-        return np.where(found, positions, -1).astype(np.int64)
+        return _gather(self._user_vertex, user_ids)
+
+    def window_vertex_of_product(self, product_ids: np.ndarray) -> np.ndarray:
+        """Map global product ids to window vertex ids (-1 when absent)."""
+        return _gather(self._product_vertex, product_ids)
+
+    def vertex_map_from(self, previous: "WindowGraph") -> np.ndarray:
+        """Each ``previous``-window vertex's vertex in this window, or -1."""
+        remap = np.empty(
+            previous.num_users + previous.products.size, dtype=np.int64
+        )
+        first = 0
+        for ids, vertex_of in (
+            (previous.users, self._user_vertex),
+            (previous.products, self._product_vertex),
+        ):
+            # Window ids ascend, so those inside the map are a prefix.
+            inside = int(np.searchsorted(ids, vertex_of.size))
+            vertex_of.take(
+                ids[:inside], out=remap[first:first + inside], mode="clip"
+            )
+            remap[first + inside:first + ids.size] = -1
+            first += ids.size
+        return remap
 
     def user_of_window_vertex(self, vertices: np.ndarray) -> np.ndarray:
         """Map window vertex ids back to global user ids (-1 for products)."""
@@ -106,6 +134,31 @@ class WindowGraph:
         is_user = vertices < self.num_users
         result[is_user] = self.users[vertices[is_user]]
         return result
+
+
+def _id_map(ids: np.ndarray, first_vertex: int) -> np.ndarray:
+    """Dense global id -> window vertex map of the window's ``ids``, which
+    are window vertices ``first_vertex, first_vertex + 1, ...``."""
+    size = int(ids.max()) + 1 if ids.size else 0
+    vertex_of = np.full(size, -1, dtype=np.int64)
+    vertex_of[ids] = np.arange(
+        first_vertex, first_vertex + ids.size, dtype=np.int64
+    )
+    vertex_of.setflags(write=False)
+    return vertex_of
+
+
+def _gather(vertex_of: np.ndarray, ids: np.ndarray) -> np.ndarray:
+    """``vertex_of[ids]``, -1 where an id is negative or past the end."""
+    ids = np.asarray(ids, dtype=np.int64)
+    if vertex_of.size == 0:
+        return np.full(ids.shape, -1, dtype=np.int64)
+    # Viewed as unsigned, a negative id is past every end.
+    return np.where(
+        ids.view(np.uint64) < vertex_of.size,
+        vertex_of.take(ids, mode="clip"),
+        -1,
+    )
 
 
 def window_from_pairs(

@@ -146,6 +146,48 @@ class TestPropagation:
         assert 9 in clusters[200]
 
 
+def _int64_grouping(labels):
+    """``clusters`` by an int64 stable sort: the grouping before the
+    narrow-key radix sort."""
+    labeled = np.flatnonzero(labels != NO_LABEL)
+    order = np.argsort(labels[labeled].astype(np.int64), kind="stable")
+    groups = {}
+    for vertex in labeled[order].tolist():
+        groups.setdefault(int(labels[vertex]), []).append(vertex)
+    return groups
+
+
+class TestClustersGrouping:
+    """``clusters`` groups like an int64 stable sort: the same keys in
+    ascending order, each group's vertices ascending."""
+
+    @pytest.mark.parametrize(
+        "high", [3, 255, 256, 65_535, 65_536, 2**40], ids=str
+    )
+    def test_matches_int64_sort(self, high):
+        rng = np.random.default_rng(high % 997)
+        labels = rng.integers(0, min(high, 50), 5_000) + max(0, high - 50)
+        labels[rng.random(labels.size) < 0.2] = NO_LABEL
+        labels[7] = high
+        got = SeededFraudLP({0: 1}).clusters(labels)
+        want = _int64_grouping(labels)
+        assert list(got) == list(want) == sorted(want)
+        for key, vertices in got.items():
+            assert vertices.tolist() == want[key]
+
+    def test_single_label(self):
+        labels = np.full(9, NO_LABEL, dtype=np.int64)
+        labels[[8, 2, 5]] = 70_000
+        got = SeededFraudLP({0: 1}).clusters(labels)
+        assert list(got) == [70_000]
+        assert got[70_000].tolist() == [2, 5, 8]
+
+    def test_empty_labeled_set(self):
+        program = SeededFraudLP({0: 1})
+        assert program.clusters(np.full(4, NO_LABEL, dtype=np.int64)) == {}
+        assert program.clusters(np.empty(0, dtype=np.int64)) == {}
+
+
 class TestFraudRings:
     def test_rings_recovered_from_partial_seeds(self):
         graph, ring_id = fraud_ring_graph(

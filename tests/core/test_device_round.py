@@ -20,9 +20,12 @@ from repro import ClassicLP, GLPEngine
 from repro.algorithms.llp import LayeredLP
 from repro.algorithms.seeded import SeededFraudLP
 from repro.algorithms.slp import SpeakerListenerLP
+from repro.core.device_round import DeviceShare, device_round
 from repro.core.hybrid import HybridEngine
 from repro.core.multigpu import MultiGPUEngine
 from repro.graph.generators.rmat import rmat_graph
+from repro.gpusim.device import Device
+from repro.kernels.base import GLP_DEFAULT
 from tests.kernels.test_golden_fingerprint import iteration_fingerprint
 
 ITERATIONS = 5
@@ -153,3 +156,25 @@ def test_multigpu_kernel_time_is_slowest_device_round(graph):
         assert stats.counters.kernel_launches == sum(
             len(rounds[index]) for rounds in per_device
         )
+
+
+def test_dense_pass_keeps_records_only_after_a_dense_pass():
+    """A record pays only if a next dense pass reads it: the first dense
+    pass of an attempt, or one after a sparse pass, keeps none."""
+    graph = rmat_graph(10, 12.0, seed=5, name="golden")
+    share = DeviceShare(Device(), graph, GLP_DEFAULT)
+    program = ClassicLP()
+    labels = program.init_labels(graph)
+
+    def kept():
+        assert share.schedules
+        return [s.kept is not None for s in share.schedules.values()]
+
+    device_round(share, program, labels)
+    assert not any(kept())
+    device_round(share, program, labels)
+    assert all(kept())
+    device_round(share, program, labels, frontier=np.arange(10))
+    assert not share.schedules
+    device_round(share, program, labels)
+    assert not any(kept())

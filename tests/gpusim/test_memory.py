@@ -1,8 +1,11 @@
 """Tests for the global-memory coalescing model."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
+from repro.gpusim import hooks
 from repro.gpusim.config import DeviceSpec
 from repro.gpusim.counters import PerfCounters
 from repro.gpusim.memory import (
@@ -107,3 +110,80 @@ class TestGlobalMemoryModel:
     def test_load_segments_empty_segment_free(self, model):
         mem, _ = model
         assert mem.load_segments(np.array([5]), np.array([0]), 8) == 0
+
+
+class _Listener:
+    """A sanitizer stand-in that keeps every access it is shown."""
+
+    def __init__(self):
+        self.accesses = []
+
+    def record(self, space, array, offsets, *, kind, warp_ids=None):
+        self.accesses.append((space, array, np.array(offsets), kind))
+
+
+class TestSequentialSanitizerOffsets:
+    """Sequential accesses build their O(n) sanitizer offsets only when a
+    sanitizer listens."""
+
+    N = 10**6
+
+    def _peak_growth(self, access):
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            access()
+            return tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+
+    @pytest.mark.parametrize("method", ["load_sequential", "store_sequential"])
+    def test_no_offsets_without_a_sanitizer(self, model, method):
+        mem, _ = model
+        access = getattr(mem, method)
+        assert hooks.ACTIVE.get() is None
+        growth = self._peak_growth(lambda: access(self.N, 8, array="labels"))
+        assert growth < 64 * 1024
+        # The control: a listener makes the access build its offsets.
+        with hooks.installed(hooks.ACTIVE, _Listener()):
+            growth = self._peak_growth(
+                lambda: access(self.N, 8, array="labels")
+            )
+        assert growth >= self.N * 8
+
+    def test_sanitized_run_records_the_same_offsets(self, model):
+        mem, _ = model
+        with hooks.installed(hooks.ACTIVE, _Listener()) as listener:
+            mem.load_sequential(70, 8, array="labels")
+            mem.store_sequential(33, 4, array="best-labels")
+            mem.load_sequential(50, 8)  # unnamed: accounting only
+            mem.store_sequential(0, 8, array="labels")  # empty: nothing
+        assert [(a[0], a[1], a[3]) for a in listener.accesses] == [
+            ("global", "labels", "read"),
+            ("global", "best-labels", "write"),
+        ]
+        assert np.array_equal(listener.accesses[0][2], np.arange(70))
+        assert np.array_equal(listener.accesses[1][2], np.arange(33))
+
+    @pytest.mark.parametrize("num_elements", [0, 1, 31, 32, 1000, 10**6])
+    def test_transactions_do_not_depend_on_a_listener(self, num_elements):
+        counts = []
+        for listener in (None, _Listener()):
+            counters = PerfCounters()
+            mem = GlobalMemoryModel(DeviceSpec(), counters)
+            with hooks.installed(hooks.ACTIVE, listener):
+                returned = (
+                    mem.load_sequential(num_elements, 8, array="labels"),
+                    mem.store_sequential(num_elements, 4, array="labels"),
+                )
+            counts.append(
+                (
+                    returned,
+                    counters.global_load_transactions,
+                    counters.global_store_transactions,
+                )
+            )
+        assert counts[0] == counts[1]
+        expected = (-(-num_elements * 8 // 32), -(-num_elements * 4 // 32))
+        assert counts[0] == (expected, *expected)

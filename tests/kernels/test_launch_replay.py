@@ -146,12 +146,14 @@ def _expected_outcomes(graph, inputs):
     """Per iteration after the first, each launch's outcome by the rule:
     ``replay`` when none of its vertices has a changed own or in-neighbor
     label, ``patch`` when those vertices hold fewer than half its edges,
-    else ``execute``."""
-    outcomes = []
-    for before, now in zip(inputs, inputs[1:]):
+    else ``execute``.  The first pass keeps no record (no dense pass ran
+    before it), so the second executes every launch."""
+    launches = _launch_vertex_sets(graph)
+    outcomes = [["execute"] * len(launches)]
+    for before, now in zip(inputs[1:], inputs[2:]):
         changed = before != now
         row = []
-        for vertices in _launch_vertex_sets(graph):
+        for vertices in launches:
             batch = mfl.expand_edges(graph, vertices)
             affected = changed[vertices] | np.isin(
                 vertices, batch.vertex_ids[changed[batch.neighbor_ids]]
@@ -398,7 +400,10 @@ class TestFaults:
         # The first iteration whose first MFL launch patches (outcomes
         # start at the second iteration).
         row = next(i for i, r in enumerate(outcomes) if r[0] == "patch")
-        not_executed = len(outcomes[row]) - outcomes[row].count("execute")
+        # The faulted iteration and the next one (the retried attempt's
+        # first two passes) execute every launch.
+        retried = outcomes[row] + outcomes[row + 1]
+        not_executed = len(retried) - retried.count("execute")
         iteration = row + 1
         with hooks.installed(hooks.FAULTS, EventLog()) as log:
             GLPEngine().run(graph, ClassicLP(), **kwargs)
@@ -425,11 +430,12 @@ class TestFaults:
                 [iteration_fingerprint(s) for s in recovered.iterations],
             )
             if not sanitized:
-                # The retried attempt keeps no record of the failed one:
-                # the faulted iteration executes every launch.
+                # The retried attempt keeps no record of the failed one,
+                # and its first pass keeps none either: no dense pass ran
+                # before it in the attempt.
                 assert spy.outcomes(graph) == (
                     executed + not_executed,
-                    patched - outcomes[row].count("patch"),
+                    patched - retried.count("patch"),
                 )
         assert observed[False] == observed[True]
         assert observed[False][0] == [("launch", target, "smem-cms-ht")]

@@ -41,6 +41,7 @@ from repro.pipeline.window import (
     unpack_pairs,
 )
 from repro.resilience import FaultPlan, inject
+from tests.pipeline.test_window import searchsorted_lookup
 
 
 @pytest.fixture(scope="module")
@@ -355,6 +356,79 @@ class TestAffectedSet:
             labeled_vertices=np.empty(0, dtype=np.int64),
         )
         assert affected.num_affected == 0
+
+
+def _searchsorted_affected(diff, previous, current, residual, labeled):
+    """``affected_vertices`` as it ran before the window id maps: every
+    id looked up by binary search, the candidates deduplicated by
+    ``np.unique`` and the boundary tested vertex by vertex."""
+    residual = np.asarray(residual, dtype=np.int64)
+    users = residual[residual < previous.num_users]
+    products = residual[residual >= previous.num_users]
+    changed_users, changed_products = diff.endpoint_ids()
+    looked_up = np.concatenate(
+        [
+            searchsorted_lookup(current.users, previous.users[users]),
+            searchsorted_lookup(
+                current.products,
+                previous.products[products - previous.num_users],
+                current.num_users,
+            ),
+            searchsorted_lookup(current.users, changed_users),
+            searchsorted_lookup(
+                current.products, changed_products, current.num_users
+            ),
+        ]
+    )
+    candidates = np.unique(looked_up[looked_up >= 0])
+    is_labeled = np.zeros(current.graph.num_vertices, dtype=bool)
+    is_labeled[labeled] = True
+    frontier = [
+        v
+        for v in candidates.tolist()
+        if not is_labeled[v] and is_labeled[current.graph.neighbors(v)].any()
+    ]
+    return candidates, np.array(frontier, dtype=np.int64)
+
+
+class TestAffectedSetMatchesLookup:
+    """Through the window id maps, ``affected_vertices`` finds the same
+    candidates and frontier as the binary-search lookups, on every slide
+    of a small stream."""
+
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_every_slide(self, stream, seed):
+        rng = np.random.default_rng(seed)
+        builder = IncrementalWindowBuilder(stream)
+        for day in range(4):
+            builder.add_day(day)
+        previous = builder.build()
+        slides = 0
+        while max(builder.days) < stream.config.num_days - 1:
+            diff = builder.slide()
+            current = builder.build()
+            residual = np.flatnonzero(
+                rng.random(previous.graph.num_vertices) < 0.1
+            )
+            labeled = np.flatnonzero(
+                rng.random(current.graph.num_vertices) < 0.3
+            )
+            got = affected_vertices(
+                diff,
+                previous,
+                current,
+                residual_frontier=residual,
+                labeled_vertices=labeled,
+            )
+            candidates, frontier = _searchsorted_affected(
+                diff, previous, current, residual, labeled
+            )
+            assert np.array_equal(got.candidates, candidates)
+            assert np.array_equal(got.frontier, frontier)
+            assert frontier.size > 0
+            previous = current
+            slides += 1
+        assert slides == stream.config.num_days - 4
 
 
 class TestPlanSlide:

@@ -19,6 +19,7 @@ from repro.pipeline.transactions import (
 from repro.pipeline.window import build_window_graph
 from repro.pipeline.seeds import SeedStore
 from repro.types import NO_LABEL
+from tests.pipeline.test_window import searchsorted_lookup
 
 
 @pytest.fixture(scope="module")
@@ -267,8 +268,8 @@ def _dict_window_seeds(store, window):
     """``SeedStore.window_seeds`` as the ``{vertex: label}`` dict it used
     to build: the reference for the array form."""
     raw = store.labels()
-    vertices = window.window_vertex_of_user(
-        np.array(list(raw), dtype=np.int64)
+    vertices = searchsorted_lookup(
+        window.users, np.array(list(raw), dtype=np.int64)
     )
     labels = np.array(list(raw.values()), dtype=np.int64)
     present = vertices >= 0
@@ -281,7 +282,8 @@ def _dict_warm_start(
 ):
     """The dict merge ``warm_start_seeds`` used to run: carried users,
     then carried products, then the base seeds, each ``update`` winning
-    over the last."""
+    over the last.  Ids are looked up by binary search, as they were
+    before the window's id maps."""
     labeled = np.flatnonzero(previous_labels != NO_LABEL)
     users = previous.user_of_window_vertex(labeled)
     keep = users >= 0
@@ -290,7 +292,7 @@ def _dict_warm_start(
     if max_carryover is not None:
         users = users[:max_carryover]
         labels = labels[:max_carryover]
-    current_vertices = current.window_vertex_of_user(users)
+    current_vertices = searchsorted_lookup(current.users, users)
     present = current_vertices >= 0
     merged = dict(
         zip(current_vertices[present].tolist(), labels[present].tolist())
@@ -348,8 +350,10 @@ class TestWarmStartMatchesDictMerge:
                 rng.integers(0, 40, num_previous),
             )
             for kwargs in (
+                {},
                 {"carry_products": True},
                 {"max_carryover": previous.num_users // 2},
+                {"max_carryover": slides * 37, "carry_products": True},
             ):
                 got = warm_start_seeds(
                     previous, previous_labels, current, base, **kwargs
@@ -437,6 +441,29 @@ class TestWarmStartEmptyProductSide:
         # product has nowhere to land and must be silently dropped.
         assert merged.vertices.tolist() == [0, 1]
         assert merged.labels.tolist() == [7, 42]
+
+    @pytest.mark.parametrize("carry_products", [False, True])
+    def test_cap_counts_users_absent_from_the_current_window(
+        self, carry_products
+    ):
+        # The cap takes the lowest labeled previous users before they are
+        # looked up: user 10, the first, has left, so a cap of 1 carries
+        # no user.  Products are never capped.
+        previous = self._window([10, 20, 30], [5])
+        previous_labels = np.array([1, 2, 3, 4], dtype=np.int64)
+        current = self._window([20, 30], [5])
+        merged = warm_start_seeds(
+            previous, previous_labels, current, {},
+            max_carryover=1, carry_products=carry_products,
+        )
+        assert _items(merged) == ([(2, 4)] if carry_products else [])
+        merged = warm_start_seeds(
+            previous, previous_labels, current, {},
+            max_carryover=2, carry_products=carry_products,
+        )
+        assert _items(merged) == [(0, 2)] + (
+            [(2, 4)] if carry_products else []
+        )
 
     @pytest.mark.parametrize("vertex", [-1, 3])
     def test_out_of_range_base_seed_rejected(self, vertex):

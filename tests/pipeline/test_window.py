@@ -8,7 +8,58 @@ from repro.pipeline.transactions import (
     TransactionStream,
     TransactionStreamConfig,
 )
-from repro.pipeline.window import SlidingWindow, build_window_graph
+from repro.graph.builder import from_edge_arrays
+from repro.pipeline.window import (
+    SlidingWindow,
+    WindowGraph,
+    build_window_graph,
+)
+
+
+def searchsorted_lookup(sorted_ids, ids, first_vertex=0):
+    """The binary-search lookup the dense id maps replaced: the window
+    vertex ``first_vertex + i`` of each id at ``sorted_ids[i]``, else -1.
+    The oracle of the maps' tests."""
+    ids = np.asarray(ids, dtype=np.int64)
+    if sorted_ids.size == 0:
+        return np.full(ids.shape, -1, dtype=np.int64)
+    positions = np.clip(
+        np.searchsorted(sorted_ids, ids), 0, sorted_ids.size - 1
+    )
+    found = sorted_ids[positions] == ids
+    return np.where(found, positions + first_vertex, -1).astype(np.int64)
+
+
+def assert_maps_match_lookup(window, queried):
+    """Both maps answer every queried id like the binary search."""
+    queried = np.asarray(queried, dtype=np.int64)
+    got = window.window_vertex_of_user(queried)
+    assert got.dtype == np.int64 and got.shape == queried.shape
+    assert np.array_equal(got, searchsorted_lookup(window.users, queried))
+    assert np.array_equal(
+        window.window_vertex_of_product(queried),
+        searchsorted_lookup(window.products, queried, window.num_users),
+    )
+
+
+def assert_vertex_map_composes(previous, current):
+    """``current.vertex_map_from(previous)`` is each previous vertex's
+    global id, looked up in ``current``."""
+    users = np.arange(previous.num_users)
+    products = np.arange(previous.num_users, previous.graph.num_vertices)
+    assert np.array_equal(
+        current.vertex_map_from(previous),
+        np.concatenate(
+            [
+                current.window_vertex_of_user(
+                    previous.user_of_window_vertex(users)
+                ),
+                current.window_vertex_of_product(
+                    previous.products[products - previous.num_users]
+                ),
+            ]
+        ),
+    )
 
 
 @pytest.fixture(scope="module")
@@ -79,6 +130,90 @@ class TestWindowGraph:
         assert long.graph.num_edges >= short.graph.num_edges
 
 
+def _bare_window(users, products):
+    """A window of the given ids and no edges."""
+    users = np.asarray(users, dtype=np.int64)
+    products = np.asarray(products, dtype=np.int64)
+    empty = np.empty(0, dtype=np.int64)
+    graph = from_edge_arrays(
+        empty, empty, users.size + products.size, symmetrize=True
+    )
+    return WindowGraph(
+        graph=graph, users=users, products=products, start_day=0, num_days=1
+    )
+
+
+class TestIdMaps:
+    """The dense id maps answer like the binary search they replaced."""
+
+    @pytest.mark.parametrize("start,num_days", [(0, 1), (0, 10), (12, 18)])
+    def test_every_id_matches_lookup(self, stream, start, num_days):
+        window = build_window_graph(stream, start, num_days)
+        largest = max(stream.num_users, stream.num_products)
+        queried = np.concatenate(
+            [
+                np.arange(-3, largest + 3),
+                [-(2**62), 2**40, np.iinfo(np.int64).max],
+            ]
+        )
+        assert_maps_match_lookup(window, queried)
+
+    @pytest.mark.parametrize(
+        "users,products",
+        [([], [7]), ([4, 9], []), ([], []), ([0], [0])],
+        ids=["no-users", "no-products", "empty", "id-zero"],
+    )
+    def test_windows_with_an_empty_side(self, users, products):
+        window = _bare_window(users, products)
+        assert_maps_match_lookup(window, np.arange(-2, 12))
+        assert_maps_match_lookup(window, np.empty(0, dtype=np.int64))
+
+    def test_maps_sized_by_the_largest_window_id(self):
+        # A stream may name ids up to 2**31; a window holding only small
+        # ids must not pay for the id space.
+        window = _bare_window([3, 5], [2**20])
+        assert window._user_vertex.size == 6
+        assert window._product_vertex.size == 2**20 + 1
+        assert window.window_vertex_of_user(np.array([2**31 - 1]))[0] == -1
+        assert not window._user_vertex.flags.writeable
+
+    def test_ids_past_the_largest_and_negative(self, stream):
+        window = build_window_graph(stream, 0, 10)
+        past = np.array([window.users[-1] + 1, -1, -window.users[-1]])
+        assert np.all(window.window_vertex_of_user(past) == -1)
+        past = np.array([window.products[-1] + 1, -1])
+        assert np.all(window.window_vertex_of_product(past) == -1)
+
+    @pytest.mark.parametrize(
+        "previous,current",
+        [((0, 10), (1, 10)), ((0, 3), (10, 12)), ((5, 15), (8, 2))],
+        ids=["slide", "gains", "loses"],
+    )
+    def test_vertex_map_composes_the_lookups(self, stream, previous, current):
+        previous = build_window_graph(stream, *previous)
+        current = build_window_graph(stream, *current)
+        assert_vertex_map_composes(previous, current)
+        mapped = current.vertex_map_from(previous)
+        assert mapped.size == previous.graph.num_vertices
+        # Users map to users and products to products, one to one.
+        users, products = np.split(mapped, [previous.num_users])
+        assert np.all(users < current.num_users)
+        assert np.all((products == -1) | (products >= current.num_users))
+        present = mapped[mapped >= 0]
+        assert np.unique(present).size == present.size
+
+    def test_vertex_map_from_an_empty_side(self, stream):
+        window = build_window_graph(stream, 0, 5)
+        for bare in (
+            _bare_window([], [1, 2]),
+            _bare_window([3], []),
+            _bare_window([], []),
+        ):
+            assert_vertex_map_composes(bare, window)
+            assert_vertex_map_composes(window, bare)
+            assert_vertex_map_composes(bare, bare)
+
+
 class TestEmptyWindow:
     """Regression: a zero-user window must answer lookups, not raise.
 
@@ -90,22 +225,9 @@ class TestEmptyWindow:
 
     @pytest.fixture
     def empty_window(self):
-        from repro.graph.builder import from_edge_arrays
-        from repro.pipeline.window import WindowGraph
-
-        empty = np.empty(0, dtype=np.int64)
         # One product vertex, zero users, no edges: the shape a day of
         # product-only activity (or a fully-retired window) produces.
-        graph = from_edge_arrays(
-            empty, empty, 1, symmetrize=True, name="empty-window"
-        )
-        return WindowGraph(
-            graph=graph,
-            users=empty,
-            products=np.array([7], dtype=np.int64),
-            start_day=0,
-            num_days=1,
-        )
+        return _bare_window([], [7])
 
     def test_lookup_returns_all_absent(self, empty_window):
         queried = np.array([0, 3, 10**6], dtype=np.int64)

@@ -5,8 +5,9 @@ into one batch of net count deltas and folds it into the pair table once,
 reading the edge diff and the per-product pair counts off that fold.  Over
 tiny generated streams, every slide is checked against independent
 oracles: a from-scratch fold of the window's days, a ``bincount`` of the
-table, ``compute_window_diff`` of the before and after tables, and the
-batch ``build_window_graph``.  A slide whose detection raises must roll
+table, ``compute_window_diff`` of the before and after tables, the
+batch ``build_window_graph`` and, for the window id maps, a binary search
+over the window's ids.  A slide whose detection raises must roll
 the product counts back with the table.
 """
 
@@ -28,6 +29,10 @@ from repro.pipeline.incremental import (
 from repro.pipeline.seeds import SeedStore
 from repro.pipeline.transactions import TRANSACTION_DTYPE
 from repro.pipeline.window import PRODUCT_MASK, build_window_graph, pack_pairs
+from tests.pipeline.test_window import (
+    assert_maps_match_lookup,
+    assert_vertex_map_composes,
+)
 
 
 class _Stream:
@@ -115,6 +120,15 @@ def _assert_builder_state(builder, stream, start, window_days):
         )
     _assert_same_arrays(built.users, batch.users)
     _assert_same_arrays(built.products, batch.products)
+    # The id maps answer every id of the stream, and a few past either
+    # end, like a binary search over the window's ids.
+    assert_maps_match_lookup(
+        built,
+        np.arange(
+            -2, max(stream.config.num_users, stream.config.num_products) + 2
+        ),
+    )
+    return built
 
 
 # Hand-picked streams that hold every case the merge must get right.
@@ -139,7 +153,7 @@ def test_slide_matches_oracles(case):
     builder = IncrementalWindowBuilder(stream)
     for day in range(window_days):
         builder.add_day(day)
-    _assert_builder_state(builder, stream, 0, window_days)
+    window = _assert_builder_state(builder, stream, 0, window_days)
     for start in range(1, len(days) - window_days + 1):
         before = builder.snapshot()
         diff = builder.slide()
@@ -152,7 +166,11 @@ def test_slide_matches_oracles(case):
             _assert_same_arrays(getattr(diff, field), getattr(full, field))
         assert diff.num_pairs_before == full.num_pairs_before
         assert diff.num_pairs_after == full.num_pairs_after
-        _assert_builder_state(builder, stream, start, window_days)
+        previous = window
+        window = _assert_builder_state(builder, stream, start, window_days)
+        # Vertices leave and enter: the slide's vertex map composes the
+        # two windows' lookups.
+        assert_vertex_map_composes(previous, window)
 
 
 @settings(max_examples=15, deadline=None, derandomize=True)
